@@ -102,6 +102,12 @@ class BroadcastRandomProtocol final : public sim::Protocol {
   /// The paper's nodes cannot detect collisions; backends may bulk-count
   /// them (block-mergeable sink aggregation).
   [[nodiscard]] bool collisions_inert() const override { return true; }
+  /// A delivery writes only the receiver's BroadcastState slot and reads
+  /// the sender's provenance bit, which a transmitter (active, hence
+  /// informed before this round) cannot change mid-round.
+  [[nodiscard]] bool deliveries_receiver_local() const override {
+    return true;
+  }
   void on_delivered(NodeId receiver, NodeId sender, sim::Round r) override;
   /// Byzantine relay delivery: same behaviour, but the copy is recorded as
   /// invalid and the corruption propagates along every further relay.

@@ -10,84 +10,92 @@ void BroadcastState::reset(NodeId n, NodeId source) {
   RADNET_REQUIRE(n >= 1, "BroadcastState needs n >= 1");
   RADNET_REQUIRE(source < n, "source out of range");
   n_ = n;
-  informed_.assign(n, 0);
-  deactivated_.assign(n, 0);
-  informed_time_.assign(n, 0);
-  active_.clear();
-  pending_active_.clear();
+  flags_.assign(n, 0);
+  informed_time_.assign(n, kNotInformed);
+  if (active_capacity_ < n) {
+    active_ = std::make_unique_for_overwrite<NodeId[]>(n);
+    active_capacity_ = n;
+  }
+  active_count_ = 0;
   has_deactivations_ = false;
-  valid_.assign(n, 0);
-  excluded_.assign(n, 0);
   excluded_count_ = 0;
-  informed_[source] = 1;
+  // The source holds the genuine content by definition.
+  flags_[source] = kInformed | kValid;
   informed_count_ = 1;
-  valid_[source] = 1;  // the source holds the genuine content by definition
   valid_count_ = 1;
   informed_time_[source] = 0;
-  active_.push_back(source);
+  active_[active_count_++] = source;
 
-  uninformed_.clear();
-  uninformed_.reserve(n - 1);
-  uninformed_pos_.assign(n, 0);
-  newly_informed_.clear();
-  for (NodeId v = 0; v < n; ++v) {
-    if (v == source) continue;
-    uninformed_pos_[v] = static_cast<NodeId>(uninformed_.size());
-    uninformed_.push_back(v);
-  }
+  uninformed_.resize(n - 1);
+  NodeId* out = uninformed_.data();
+  for (NodeId v = 0; v < n; ++v)
+    if (v != source) *out++ = v;
 }
 
 bool BroadcastState::deliver(NodeId v, Round round, bool activate,
                              bool copy_valid) {
   RADNET_REQUIRE(v < n_, "deliver out of range");
-  if (informed_[v]) return false;  // repeats ignored: an informed-invalid
-                                   // node never upgrades (it stopped caring)
-  informed_[v] = 1;
-  ++informed_count_;
-  if (copy_valid) {
-    valid_[v] = 1;
-    if (!excluded_[v]) ++valid_count_;
-  }
-  informed_time_[v] = round + 1;
-  newly_informed_.push_back(v);
-  if (activate) pending_active_.push_back(v);
+  const std::uint8_t f = flags_[v];
+  if (f & kInformed) return false;  // repeats ignored: an informed-invalid
+                                    // node never upgrades (it stopped caring)
+  flags_[v] = f | kInformed | (copy_valid ? kValid : 0) |
+              (activate ? kActivate : 0);
+  std::atomic_ref<Round>(informed_time_[v])
+      .store(round + 1, std::memory_order_relaxed);
   return true;
 }
 
 void BroadcastState::exclude_from_goal(std::span<const NodeId> nodes) {
   for (const NodeId v : nodes) {
     RADNET_REQUIRE(v < n_, "goal exclusion out of range");
-    if (excluded_[v]) continue;
-    excluded_[v] = 1;
+    if (flags_[v] & kExcluded) continue;
+    flags_[v] |= kExcluded;
     ++excluded_count_;
-    if (valid_[v]) --valid_count_;
+    if (flags_[v] & kValid) --valid_count_;
   }
 }
 
 void BroadcastState::deactivate(NodeId v) {
   RADNET_REQUIRE(v < n_, "deactivate out of range");
-  deactivated_[v] = 1;
+  flags_[v] |= kDeactivated;
   has_deactivations_ = true;
 }
 
 void BroadcastState::commit() {
+  const std::uint8_t* flags = flags_.data();
+  NodeId* active = active_.get();
   if (has_deactivations_) {
-    active_.erase(std::remove_if(active_.begin(), active_.end(),
-                                 [this](NodeId v) { return deactivated_[v] != 0; }),
-                  active_.end());
+    active_count_ = static_cast<NodeId>(
+        std::remove_if(active, active + active_count_,
+                       [flags](NodeId v) { return flags[v] & kDeactivated; }) -
+        active);
     has_deactivations_ = false;
   }
-  for (const NodeId v : pending_active_)
-    if (!deactivated_[v]) active_.push_back(v);
-  pending_active_.clear();
-  for (const NodeId v : newly_informed_) {
-    const NodeId pos = uninformed_pos_[v];
-    const NodeId last = uninformed_.back();
-    uninformed_[pos] = last;
-    uninformed_pos_[last] = pos;
-    uninformed_.pop_back();
+  // One ascending pass: keep the still-uninformed in place, append the
+  // round's activations, count the new valid copies. Every store is
+  // unconditional and every cursor advances by a 0/1 flag, so the loop
+  // carries no data-dependent branch. Only deliver() sets kActivate and
+  // kValid on a listed node, and both imply kInformed. The speculative
+  // active[appended] store stays in bounds: v is not active yet and the
+  // active list holds distinct nodes, so appended < n here.
+  NodeId* list = uninformed_.data();
+  const std::size_t m = uninformed_.size();
+  std::size_t keep = 0;
+  NodeId appended = active_count_;
+  NodeId valid = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    const NodeId v = list[i];
+    const unsigned f = flags[v];
+    list[keep] = v;
+    keep += (f & kInformed) ^ kInformed;
+    active[appended] = v;
+    appended += (f & (kActivate | kDeactivated)) == kActivate;
+    valid += (f & (kValid | kExcluded)) == kValid;
   }
-  newly_informed_.clear();
+  informed_count_ += static_cast<NodeId>(m - keep);
+  valid_count_ += valid;
+  active_count_ = appended;
+  uninformed_.resize(keep);
 }
 
 }  // namespace radnet::core

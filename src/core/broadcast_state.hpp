@@ -10,7 +10,18 @@
 //     (the node still transmitted its current message this round).
 // Call commit() from the protocol's end_round.
 //
-// Adversary support (sim/adversary.hpp): alongside the informed flags the
+// Layout: one flags byte per node (informed, valid, excluded, deactivated,
+// activate) plus informed_time_. deliver() touches only the receiver's
+// flags byte and its informed_time_ slot, so deliveries to distinct
+// receivers may run concurrently (the engine's in-block delivery path,
+// Protocol::deliveries_receiver_local) and in any order. Everything that
+// aggregates over nodes settles at commit(): one branch-free compaction
+// pass over the ascending uninformed list drops the newly informed, bumps
+// informed_count() and valid_count(), and appends the round's activations
+// in ascending node order. Counts therefore read the state as of the last
+// commit(), never a half-applied round.
+//
+// Adversary support (sim/adversary.hpp): alongside the informed flag the
 // state keeps one per-copy *provenance* bit — valid iff the copy descends
 // from the source through honest relays only. deliver() takes the copy's
 // validity (callers pass copy_is_valid(sender), and false for deliveries
@@ -25,7 +36,10 @@
 // the bookkeeping is inert.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -38,30 +52,43 @@ using sim::Round;
 
 class BroadcastState {
  public:
+  /// informed_time() of a node that holds no copy yet.
+  static constexpr Round kNotInformed = std::numeric_limits<Round>::max();
+
   /// Resets for n nodes with `source` informed (at time 0) and active.
   void reset(NodeId n, NodeId source);
 
   [[nodiscard]] NodeId num_nodes() const noexcept { return n_; }
-  [[nodiscard]] bool informed(NodeId v) const { return informed_[v] != 0; }
+  /// Includes nodes informed in the current, not yet committed round.
+  [[nodiscard]] bool informed(NodeId v) const {
+    return (flags_[v] & kInformed) != 0;
+  }
+  /// As of the last commit().
   [[nodiscard]] NodeId informed_count() const noexcept { return informed_count_; }
   [[nodiscard]] bool all_informed() const noexcept { return informed_count_ == n_; }
 
   /// The paper's t_u: 0 for the source, r+1 for a node first reached in
-  /// engine round r (it participates from the following round on).
-  [[nodiscard]] Round informed_time(NodeId v) const { return informed_time_[v]; }
+  /// engine round r (it participates from the following round on), and
+  /// kNotInformed before that. `informed_time(v) <= r` therefore reads
+  /// "v held a copy before round r", and is safe to evaluate while another
+  /// thread delivers to v in round r (the slot moves from kNotInformed to
+  /// r+1, both > r).
+  [[nodiscard]] Round informed_time(NodeId v) const {
+    // atomic_ref<const T> is C++26; the load never writes.
+    return std::atomic_ref<Round>(const_cast<Round&>(informed_time_[v]))
+        .load(std::memory_order_relaxed);
+  }
 
   /// Current candidate set (active nodes), stable within a round.
   [[nodiscard]] std::span<const NodeId> active() const noexcept {
-    return {active_.data(), active_.size()};
+    return {active_.get(), active_count_};
   }
-  [[nodiscard]] NodeId active_count() const noexcept {
-    return static_cast<NodeId>(active_.size());
-  }
+  [[nodiscard]] NodeId active_count() const noexcept { return active_count_; }
 
-  /// Nodes not yet informed, in a deterministic (but unspecified) order.
-  /// Stable within a round: removals are deferred to commit(), matching the
-  /// contract of Protocol::attentive_listeners — these are the only nodes
-  /// whose delivery callbacks still change protocol state.
+  /// Nodes not informed as of the last commit(), in ascending node order.
+  /// Stable within a round, matching the contract of
+  /// Protocol::attentive_listeners — these are the only nodes whose
+  /// delivery callbacks still change protocol state.
   [[nodiscard]] std::span<const NodeId> uninformed() const noexcept {
     return {uninformed_.data(), uninformed_.size()};
   }
@@ -73,21 +100,24 @@ class BroadcastState {
   /// transmission bound. `copy_valid` is the provenance bit of the copy
   /// that arrived (pass copy_is_valid(sender); false when the delivery was
   /// routed through on_delivered_corrupted). Returns true iff v was newly
-  /// informed.
+  /// informed. Touches only v's own state.
   bool deliver(NodeId v, Round round, bool activate = true,
                bool copy_valid = true);
 
   /// Provenance bit of v's copy: true iff v holds the genuine content
   /// (the source starts valid; relays preserve validity, Byzantine relays
   /// destroy it). False for uninformed nodes.
-  [[nodiscard]] bool copy_is_valid(NodeId v) const { return valid_[v] != 0; }
+  [[nodiscard]] bool copy_is_valid(NodeId v) const {
+    return (flags_[v] & kValid) != 0;
+  }
 
-  /// Non-excluded nodes holding valid copies.
+  /// Non-excluded nodes holding valid copies, as of the last commit().
   [[nodiscard]] NodeId valid_count() const noexcept { return valid_count_; }
 
   /// Removes `nodes` from the measured goal (e.g. jammers, which can never
   /// receive). Purely measurement — their informed/valid state keeps being
-  /// tracked, it just stops counting toward goal_reached().
+  /// tracked, it just stops counting toward goal_reached(). Call between
+  /// rounds (the engine calls it once, before round 0).
   void exclude_from_goal(std::span<const NodeId> nodes);
 
   /// Every non-excluded node holds a valid copy — the adversary-aware
@@ -102,29 +132,35 @@ class BroadcastState {
     return n_ - excluded_count_ - valid_count_;
   }
 
-  /// Schedules v's removal from the active set at end of round.
+  /// Schedules v's removal from the active set at end of round. Sticky: a
+  /// deactivated node never (re)activates, even when delivered this round.
   void deactivate(NodeId v);
 
-  /// Applies deferred activations/deactivations. Call from end_round.
+  /// Applies the round's deliveries, activations and deactivations. Call
+  /// from end_round.
   void commit();
 
  private:
+  enum : std::uint8_t {
+    kInformed = 1u << 0,
+    kValid = 1u << 1,        // per-copy provenance bit
+    kExcluded = 1u << 2,     // outside the measured goal
+    kDeactivated = 1u << 3,  // removed from the active set at commit
+    kActivate = 1u << 4,     // joins the active set at commit
+  };
+
   NodeId n_ = 0;
   NodeId informed_count_ = 0;
   NodeId valid_count_ = 0;     // valid copies held by non-excluded nodes
   NodeId excluded_count_ = 0;  // nodes outside the measured goal
-  std::vector<std::uint8_t> informed_;
-  std::vector<std::uint8_t> valid_;     // per-copy provenance bits
-  std::vector<std::uint8_t> excluded_;  // goal-exclusion flags
-  std::vector<std::uint8_t> deactivated_;  // pending removal flags
+  std::vector<std::uint8_t> flags_;
   std::vector<Round> informed_time_;
-  std::vector<NodeId> active_;
-  std::vector<NodeId> pending_active_;
-  // Uninformed set with O(1) swap-removal; removals deferred to commit()
-  // so the uninformed() span stays valid across a whole round.
-  std::vector<NodeId> uninformed_;
-  std::vector<NodeId> uninformed_pos_;  // position of v in uninformed_
-  std::vector<NodeId> newly_informed_;
+  // Active list: a node activates at most once, so n slots always suffice
+  // and commit() can append without a capacity check.
+  std::unique_ptr<NodeId[]> active_;
+  NodeId active_capacity_ = 0;
+  NodeId active_count_ = 0;
+  std::vector<NodeId> uninformed_;  // ascending; compacted at commit()
   bool has_deactivations_ = false;
 };
 

@@ -118,10 +118,10 @@ GossipRumorMarginalProtocol::attentive_listeners() const {
 
 void GossipRumorMarginalProtocol::on_delivered(NodeId receiver, NodeId sender,
                                                sim::Round r) {
-  // Half-duplex semantics (engine default) guarantee the sender received
-  // nothing this round, so informed(sender) is its transmitted state. The
-  // copy inherits the sender's provenance bit.
-  if (state_.informed(sender))
+  // The sender transmitted its start-of-round state: a copy it received
+  // earlier in this round (possible under full duplex) was not in the
+  // message. The copy inherits the sender's provenance bit.
+  if (state_.informed_time(sender) <= r)
     (void)state_.deliver(receiver, r, false,
                          /*copy_valid=*/state_.copy_is_valid(sender));
 }
@@ -130,8 +130,8 @@ void GossipRumorMarginalProtocol::on_delivered_corrupted(NodeId receiver,
                                                          NodeId sender,
                                                          sim::Round r) {
   // A Byzantine relay corrupts what it forwards; it only has something
-  // rumor-shaped to forward once it knows the rumor.
-  if (state_.informed(sender))
+  // rumor-shaped to forward once it knew the rumor at the round's start.
+  if (state_.informed_time(sender) <= r)
     (void)state_.deliver(receiver, r, false, /*copy_valid=*/false);
 }
 

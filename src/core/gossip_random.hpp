@@ -98,6 +98,9 @@ class GossipRandomProtocol final : public sim::Protocol {
 /// `rumor_source`'s rumor inside a full Algorithm 2 execution: a
 /// transmitting node cannot simultaneously receive, so no intra-round
 /// relay chain exists and a sender's knowledge is its start-of-round state.
+/// Under full duplex the callback enforces that reading explicitly — a
+/// sender relays only what it knew before the round — so the rumor never
+/// travels two hops in one round, whatever order deliveries run in.
 /// Full-gossip completion is the maximum of the n per-rumor marginals.
 struct GossipRumorMarginalParams {
   /// Edge probability the protocol is tuned for (tx prob = 1/(np)).
@@ -122,6 +125,11 @@ class GossipRumorMarginalProtocol final : public sim::Protocol {
       const override;
   /// Nodes cannot detect collisions; backends may bulk-count them.
   [[nodiscard]] bool collisions_inert() const override { return true; }
+  /// A delivery writes only the receiver's BroadcastState slot and reads
+  /// the sender's start-of-round knowledge (informed_time <= r).
+  [[nodiscard]] bool deliveries_receiver_local() const override {
+    return true;
+  }
   void on_delivered(NodeId receiver, NodeId sender, sim::Round r) override;
   /// Byzantine relay delivery: the receiver still learns "the rumor" when
   /// the sender knew it, but the copy is recorded as invalid (provenance

@@ -251,11 +251,12 @@ class CsrDelivery {
     // the block's own touched count.
     if (buffers_.size() < blocks) buffers_.resize(blocks);
     if (touched_blocks_.size() < blocks) touched_blocks_.resize(blocks);
-    pool_->parallel_for_index(blocks, [&](std::uint64_t b) {
+    const InBlockDeliveries in_block = in_block_deliveries(sink);
+    const auto gather = [&](std::uint64_t b) {
       ShardBuffer& buf = buffers_[b];
       buf.clear();
       BufferEmitter em{buf, /*want_records=*/false, inert_collisions,
-                       inert_deliveries};
+                       inert_deliveries, in_block};
       const NodeId lo = static_cast<NodeId>(b << shift);
       const NodeId hi = static_cast<NodeId>(
           std::min<std::uint64_t>(n, (b + 1) << shift));
@@ -285,7 +286,8 @@ class CsrDelivery {
         for (const NodeId w : touched) emit_counted(w, is_tx, half_duplex, em);
       }
       touched.clear();
-    });
+    };
+    pool_->parallel_for_index(blocks, std::cref(gather));
 
     merge_shard_buffers(std::span<const ShardBuffer>(buffers_.data(), blocks),
                         sink, RecordNone{});
@@ -351,16 +353,18 @@ class CsrDelivery {
     const NodeId n = g.num_nodes();
     for (const NodeId u : transmitters) tx_bits_.set(u);
     if (buffers_.size() < blocks) buffers_.resize(blocks);
-    pool_->parallel_for_index(blocks, [&](std::uint64_t b) {
+    const InBlockDeliveries in_block = in_block_deliveries(sink);
+    const auto body = [&](std::uint64_t b) {
       ShardBuffer& buf = buffers_[b];
       buf.clear();
       BufferEmitter em{buf, /*want_records=*/false, inert_collisions,
-                       inert_deliveries};
+                       inert_deliveries, in_block};
       const NodeId lo = static_cast<NodeId>(b << shift);
       const NodeId hi = static_cast<NodeId>(
           std::min<std::uint64_t>(n, (b + 1) << shift));
       in_scan_block(g, is_tx, half_duplex, lo, hi, em);
-    });
+    };
+    pool_->parallel_for_index(blocks, std::cref(body));
     merge_shard_buffers(std::span<const ShardBuffer>(buffers_.data(), blocks),
                         sink, RecordNone{});
     for (const NodeId u : transmitters) tx_bits_.reset(u);

@@ -22,7 +22,8 @@
 // execute on the thread pool in any order and still produce bit-identical
 // results for any thread count. Blocks buffer their events (and
 // resolved-pair records) into the ShardBuffers of sim/sharding.hpp, merged
-// serially in ascending listener order into the engine sink.
+// serially in ascending listener order into the engine sink, or apply
+// receiver-local deliveries in place (sim/sharding.hpp).
 #pragma once
 
 #include <algorithm>
@@ -299,14 +300,18 @@ class GnpSampler {
     };
     if (pool_ != nullptr && blocks > 1) {
       const bool want_records = wants_records<Record>();
+      const InBlockDeliveries in_block = in_block_deliveries(sink);
       if (buffers_.size() < blocks) buffers_.resize(blocks);
-      pool_->parallel_for_index(blocks, [&](std::uint64_t b) {
+      // std::cref keeps the std::function the pool receives in its inline
+      // storage: no per-round allocation however much the body captures.
+      const auto body = [&](std::uint64_t b) {
         ShardBuffer& buf = buffers_[b];
         buf.clear();
         BufferEmitter em{buf, want_records, collisions_inert,
-                         inert_deliveries};
+                         inert_deliveries, in_block};
         run_block(b, em, round_key_.fork(b));
-      });
+      };
+      pool_->parallel_for_index(blocks, std::cref(body));
       merge_shard_buffers(std::span<const ShardBuffer>(buffers_.data(), blocks),
                           sink, record);
     } else {
@@ -364,15 +369,18 @@ class GnpSampler {
       };
       if (pool_ != nullptr && blocks > 1) {
         const bool want_records = wants_records<Record>();
+        const InBlockDeliveries in_block = in_block_deliveries(sink);
         if (buffers_.size() < blocks) buffers_.resize(blocks);
         if (att_counts_.size() < blocks) att_counts_.resize(blocks);
-        pool_->parallel_for_index(blocks, [&](std::uint64_t b) {
+        const auto body = [&](std::uint64_t b) {
           ShardBuffer& buf = buffers_[b];
           buf.clear();
-          BufferEmitter em{buf, want_records, collisions_inert};
+          BufferEmitter em{buf, want_records, collisions_inert,
+                           /*inert_deliveries=*/nullptr, in_block};
           Rng rng = att_key.fork(b).make_rng();
           att_counts_[b] = run_chunk(b, em, rng);
-        });
+        };
+        pool_->parallel_for_index(blocks, std::cref(body));
         merge_shard_buffers(std::span<const ShardBuffer>(buffers_.data(), blocks),
                             sink, record);
         for (std::uint64_t b = 0; b < blocks; ++b) {

@@ -492,6 +492,11 @@ class ImplicitDynamicGnpTopology {
     }
     void deliver_bulk(std::uint64_t count) { inner.deliver_bulk(count); }
     void collide_bulk(std::uint64_t count) { inner.collide_bulk(count); }
+    // In-block deliveries bypass the merge: receiver-local callbacks
+    // commute, so the pinned events need no interleaving with them.
+    [[nodiscard]] detail::InBlockDeliveries in_block_deliveries() const {
+      return detail::in_block_deliveries(inner);
+    }
   };
 
   /// Walks the sketch lists of this round's transmitters — sharded per

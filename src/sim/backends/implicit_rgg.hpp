@@ -214,13 +214,16 @@ class ImplicitRggTopology {
     };
     if (pool_ != nullptr && blocks > 1) {
       if (buffers_.size() < blocks) buffers_.resize(blocks);
-      pool_->parallel_for_index(blocks, [&](std::uint64_t b) {
+      const detail::InBlockDeliveries in_block =
+          detail::in_block_deliveries(sink);
+      const auto body = [&](std::uint64_t b) {
         detail::ShardBuffer& buf = buffers_[b];
         buf.clear();
         detail::BufferEmitter em{buf, /*want_records=*/false,
-                                 collisions_inert, inert_deliveries};
+                                 collisions_inert, inert_deliveries, in_block};
         run_block(b, em);
-      });
+      };
+      pool_->parallel_for_index(blocks, std::cref(body));
       detail::merge_shard_buffers(
           std::span<const detail::ShardBuffer>(buffers_.data(), blocks), sink,
           detail::RecordNone{});

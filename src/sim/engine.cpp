@@ -22,6 +22,14 @@ struct EngineSink {
   RoundTrace* rt;
   Round round;
   const AdversaryState* adv = nullptr;
+  /// Set when the run may apply deliveries inside the parallel sweep
+  /// blocks (sim/sharding.hpp): receiver-local protocol, no trace, no
+  /// adversary. Those deliveries reach the ledger through deliver_bulk.
+  detail::InBlockDeliveries in_block{};
+
+  [[nodiscard]] detail::InBlockDeliveries in_block_deliveries() const {
+    return in_block;
+  }
 
   void deliver(graph::NodeId receiver, graph::NodeId sender) {
     ++result.ledger.total_deliveries;
@@ -107,6 +115,10 @@ RunResult run_loop(Topology& topo, Protocol& protocol, Rng protocol_rng,
   // merge per shard block instead of one callback per listener).
   const bool collisions_inert =
       !options.record_trace && protocol.collisions_inert();
+  // In-block deliveries need the same conditions plus no adversary: the
+  // adversary's receive-side filter and counters live in the serial sink.
+  const bool in_block = !options.record_trace && adv == nullptr &&
+                        protocol.deliveries_receiver_local();
 
   if (protocol.is_complete()) {
     result.completed = true;
@@ -158,6 +170,7 @@ RunResult run_loop(Topology& topo, Protocol& protocol, Rng protocol_rng,
       std::sort(rt->transmitters.begin(), rt->transmitters.end());
     }
     EngineSink sink{protocol, result, rt, r, adv};
+    if (in_block) sink.in_block = {&protocol, r};
     // The attentive hint enables aggregate accounting in sampling backends;
     // a recorded trace needs every event, so the hint is dropped then.
     const std::optional<std::span<const graph::NodeId>> attentive =

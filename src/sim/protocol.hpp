@@ -22,8 +22,10 @@
 // per-event order (see each hook's comment) may differ. Backends fold
 // hinted-away events into exact per-block bulk ledger counts through the
 // sharded-sweep layer (sim/sharding.hpp), whose block-merge ordering
-// invariant keeps all protocol callbacks single-threaded and in ascending
-// listener order; trace-recording runs drop the hints entirely so a trace
+// invariant keeps protocol callbacks single-threaded and in ascending
+// listener order — except the deliveries of a protocol that declared them
+// receiver-local (deliveries_receiver_local), which run inside the
+// parallel blocks; trace-recording runs drop the hints entirely so a trace
 // is always complete. Sampling backends key their draws by
 // StreamKey(round, block) (support/rng.hpp), so none of this depends on
 // thread count.
@@ -143,6 +145,23 @@ class Protocol {
   /// on_collision (e.g. the test protocols). Trace-recording runs always
   /// get per-event collisions regardless.
   [[nodiscard]] virtual bool collisions_inert() const { return false; }
+
+  /// Declares on_delivered *receiver-local*: on_delivered(v, s, r) writes
+  /// only v's own state, reads only sender state fixed at the start of
+  /// round r, and draws no randomness. Deliveries to distinct receivers
+  /// then commute and may run concurrently, so when no trace is recorded
+  /// and no adversary is active the sharded sweeps call on_delivered from
+  /// inside their parallel blocks (counting those deliveries in bulk)
+  /// instead of buffering them for the serial block merge — see
+  /// sim/sharding.hpp. Anything the protocol aggregates across nodes must
+  /// therefore settle in end_round, and the callbacks run in no particular
+  /// order. on_delivered_corrupted and on_collision are unaffected (they
+  /// only fire on paths that keep the serial merge). The conservative
+  /// default is false; forwarding decorators that do not override it keep
+  /// the buffered path.
+  [[nodiscard]] virtual bool deliveries_receiver_local() const {
+    return false;
+  }
 
   /// End-of-round hook, called after all deliveries of round r.
   virtual void end_round(Round r) { (void)r; }

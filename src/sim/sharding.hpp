@@ -19,7 +19,8 @@
 //   3. The buffers merge serially in ascending block order
 //      (merge_shard_buffers), so the engine sink — and therefore the
 //      protocol, trace and any resolution-recording hook — observes events
-//      in ascending listener order on a single thread.
+//      in ascending listener order on a single thread (receiver-local
+//      deliveries excepted: they apply inside the blocks, see below).
 //
 // The three invariants every backend built on this layer upholds:
 //
@@ -40,9 +41,13 @@
 //   * Block-merge ordering invariant — ShardBuffers merge serially in
 //     ascending block order, and blocks emit in ascending listener order
 //     internally, so the engine sink (protocol, trace, ledger, any Record
-//     hook) observes events in ascending listener order on one thread,
-//     exactly as a serial sweep would have delivered them. Bulk counts
-//     are order-free by definition and flush once per block.
+//     hook) observes buffered events in ascending listener order on one
+//     thread, exactly as a serial sweep would have delivered them. Bulk
+//     counts are order-free by definition and flush once per block. The
+//     one exception is in-block deliveries (below): a protocol that
+//     declared its deliveries receiver-local gets them applied inside the
+//     parallel blocks, in no global order, and they count in bulk — which
+//     is byte-identical because such deliveries commute.
 //
 // Per-chunk merge contract (the generalisation the non-listener phases
 // use): a phase whose natural work unit is not a listener block — the
@@ -71,6 +76,21 @@
 // Both are engaged only when no trace is recorded (the engine drops the
 // hints then), ledger totals are exact either way, and the AttentiveFlags
 // membership mask below gives emitters the O(1) attentive test.
+//
+// In-block deliveries: when the protocol declared
+// Protocol::deliveries_receiver_local, no trace is recorded and no
+// adversary is active, the engine sink hands out an InBlockDeliveries
+// target and the parallel blocks call on_delivered themselves for every
+// delivery that would otherwise be buffered, folding it into
+// ShardBuffer::deliver_count. The serial merge then replays only
+// records, non-inert collisions and bulk counts. Receiver-local callbacks
+// write disjoint per-listener state (every listener lives in exactly one
+// block and hears at most one event per round) and the protocol settles
+// cross-node aggregates in end_round, so the round's outcome does not
+// depend on callback order or thread count. The serial schedule keeps
+// streaming through sink.deliver, and any sink without the capability
+// (a counting shadow, say) keeps the buffered path, as does a protocol
+// decorator that does not forward the declaration.
 #pragma once
 
 #include <cstdint>
@@ -80,6 +100,7 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
+#include "sim/protocol.hpp"
 
 namespace radnet {
 class ThreadPool;
@@ -165,6 +186,30 @@ class AttentiveFlags {
   std::vector<char> flags_;
 };
 
+/// Where a sweep block applies deliveries itself instead of buffering them
+/// (file comment, "In-block deliveries"): the protocol whose on_delivered
+/// is receiver-local, and the round. A null protocol means the buffered
+/// path. Two words, so emitters carry it by value with no allocation.
+struct InBlockDeliveries {
+  Protocol* protocol = nullptr;
+  Round round = 0;
+
+  explicit operator bool() const noexcept { return protocol != nullptr; }
+  void operator()(NodeId listener, NodeId sender) const {
+    protocol->on_delivered(listener, sender, round);
+  }
+};
+
+/// The sink's in-block target. Sinks without an in_block_deliveries()
+/// member (decorators, counting shadows) always get the buffered path.
+template <class Sink>
+[[nodiscard]] InBlockDeliveries in_block_deliveries(const Sink& sink) {
+  if constexpr (requires { sink.in_block_deliveries(); })
+    return sink.in_block_deliveries();
+  else
+    return {};
+}
+
 /// One listener block's privately accumulated round output: delivery /
 /// collision events (ascending listener within the block), the ordered
 /// pairs individually resolved present (for the dynamic backend's sketch)
@@ -175,7 +220,7 @@ class AttentiveFlags {
 struct ShardBuffer {
   std::vector<std::pair<NodeId, NodeId>> events;   ///< (listener, sender|kNoSender)
   std::vector<std::pair<NodeId, NodeId>> records;  ///< (sender, listener)
-  std::uint64_t deliver_count = 0;  ///< bulk-merged non-attentive deliveries
+  std::uint64_t deliver_count = 0;  ///< bulk-merged deliveries (see emitter)
   std::uint64_t collide_count = 0;  ///< bulk-merged collisions (inert mode)
 
   void clear() {
@@ -191,18 +236,26 @@ struct ShardBuffer {
 /// backends whose Record hook is a no-op (buffering pairs would be pure
 /// overhead); `inert_collisions` folds collisions into the block count
 /// (see Protocol::collisions_inert); a non-null `inert_deliveries` mask
-/// folds deliveries to listeners outside it into the block count likewise.
+/// folds deliveries to listeners outside it into the block count likewise;
+/// a set `in_block` target applies the remaining deliveries on the spot
+/// and counts them in the same block count.
 struct BufferEmitter {
   ShardBuffer& buf;
   bool want_records;
   bool inert_collisions;
   const AttentiveFlags* inert_deliveries = nullptr;
+  InBlockDeliveries in_block{};
 
   void on_record(NodeId sender, NodeId listener) {
     if (want_records) buf.records.emplace_back(sender, listener);
   }
   void on_deliver(NodeId listener, NodeId sender) {
     if (inert_deliveries != nullptr && !inert_deliveries->test(listener)) {
+      ++buf.deliver_count;
+      return;
+    }
+    if (in_block) {
+      in_block(listener, sender);
       ++buf.deliver_count;
       return;
     }
@@ -262,7 +315,8 @@ struct DirectEmitter {
 /// Serial merge of the blocks' buffers in block order: records into the
 /// Record hook (sketch insertion order = enumeration order), events into
 /// the sink in ascending listener order, bulk counts as one call each per
-/// block. The protocol, trace and sketch stay single-threaded.
+/// block. The protocol, trace and sketch stay single-threaded here; what
+/// the blocks applied in place arrives as part of the bulk counts.
 template <class Sink, class Record>
 void merge_shard_buffers(std::span<const ShardBuffer> buffers, Sink& sink,
                          Record&& record) {

@@ -58,7 +58,9 @@
 // Within-trial parallelism: rounds decompose into contiguous listener
 // blocks (sim/sharding.hpp) executed on the engine's thread pool and
 // merged serially in listener order, which keeps the protocol
-// single-threaded. Sampling backends key every RNG draw by (round, block)
+// single-threaded — apart from receiver-local deliveries
+// (Protocol::deliveries_receiver_local), which the blocks apply in place
+// and which commute. Sampling backends key every RNG draw by (round, block)
 // (StreamKey counter keying, support/rng.hpp) so their sweeps are
 // bit-identical at any thread count; the CSR family involves no RNG at
 // all, so its parallel delivery is bit-identical by order-independence of

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"
@@ -135,6 +137,48 @@ TEST(GossipRandomTest, StopsTransmittingAfterBudget) {
   // Expected transmissions: budget * n * (1/d) = budget * n / (n p).
   EXPECT_LT(r.ledger.total_transmissions,
             static_cast<std::uint64_t>(probe.round_budget()) * 8);
+}
+
+TEST(GossipRumorMarginalTest, SenderRelaysOnlyItsStartOfRoundKnowledge) {
+  // Full duplex lets node 1 hear the source and transmit in the same
+  // round. What node 1 transmitted was its start-of-round state, so node 2
+  // must not learn the rumor from it this round — whatever order the
+  // round's deliveries are applied in.
+  GossipRumorMarginalProtocol proto(GossipRumorMarginalParams{.p = 0.5});
+  proto.reset(3, Rng(1));
+  proto.on_delivered(1, 0, 0);
+  proto.on_delivered(2, 1, 0);
+  proto.end_round(0);
+  EXPECT_EQ(proto.knowers(), 2u);
+  // Next round node 1 knew the rumor from the start: the relay works.
+  proto.on_delivered(2, 1, 1);
+  proto.end_round(1);
+  EXPECT_EQ(proto.knowers(), 3u);
+  EXPECT_TRUE(proto.is_complete());
+}
+
+TEST(GossipRumorMarginalTest, FullDuplexSpreadsOneHopPerRound) {
+  // Directed path 0 -> 1 -> ... -> n-1 under full duplex: after round r
+  // (0-based) at most r + 2 nodes can know the rumor. The engine applies
+  // deliveries in ascending listener order, the order that would chain
+  // relays along the path if a sender's in-round copy counted.
+  const graph::NodeId n = 8;
+  std::vector<graph::Edge> edges;
+  for (graph::NodeId v = 0; v + 1 < n; ++v) edges.push_back({v, v + 1});
+  const Digraph g(n, edges);
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    GossipRumorMarginalProtocol proto(GossipRumorMarginalParams{.p = 0.2});
+    sim::RunOptions options;
+    options.half_duplex = false;
+    options.max_rounds = 64;
+    options.round_observer = [&](sim::Round r) {
+      ASSERT_LE(proto.knowers(), std::min<graph::NodeId>(n, r + 2))
+          << "seed " << seed << " round " << r;
+    };
+    sim::Engine engine;
+    const sim::RunResult result = engine.run(g, proto, Rng(seed), options);
+    EXPECT_TRUE(result.completed) << "seed " << seed;
+  }
 }
 
 TEST(GossipRandomTest, InvalidParamsThrow) {

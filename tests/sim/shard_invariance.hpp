@@ -22,14 +22,28 @@
 //     the explicit-CSR variant: every DeliveryPath × thread count, plus
 //     the serial cross-path parity against the kSortedTouch baseline.
 //
-// record_trace is always on, so equality covers every per-listener event
-// in order, not just the aggregate ledger; expect_identical compares the
-// load-bearing fields first for readable failures, then the exhaustive
-// RunResult::operator== so future fields cannot silently escape the gate.
+// record_trace is always on in those two, so equality covers every
+// per-listener event in order, not just the aggregate ledger;
+// expect_identical compares the load-bearing fields first for readable
+// failures, then the exhaustive RunResult::operator== so future fields
+// cannot silently escape the gate.
+//
+//   expect_in_block_invariant(make_run, what, trace_keeps_hints)
+//     the in-block delivery path (sim/sharding.hpp), which only runs
+//     *without* a trace: at {1, 2, 8} threads the in-block run and a run
+//     through ForwardingProtocol (a decorator that does not declare
+//     receiver-local deliveries, so it keeps the buffered merge) must
+//     byte-equal the serial untraced run, and a record_trace run (also
+//     buffered) must byte-equal the serial traced run. Tracing drops the
+//     attentive hint, which steers sampling on the G(n,p) backends, so a
+//     traced run matches the untraced ones only where the hint cannot
+//     change draws (trace_keeps_hints: the RNG-free RGG delivery).
 #pragma once
 
+#include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -133,6 +147,95 @@ void expect_csr_shard_invariant(MakeRun&& make_run, const char* what) {
                         std::to_string(threads))
                            .c_str());
     }
+  }
+}
+
+/// Forwards every Protocol hook to `inner` except deliveries_receiver_local
+/// — the shape of an outside decorator (a tracing wrapper, say) written
+/// before the hook existed. Runs through it keep the buffered block merge.
+class ForwardingProtocol : public Protocol {
+ public:
+  explicit ForwardingProtocol(Protocol& inner) : inner_(inner) {}
+
+  void reset(NodeId num_nodes, Rng rng) override {
+    inner_.reset(num_nodes, std::move(rng));
+  }
+  void begin_round(Round r) override { inner_.begin_round(r); }
+  [[nodiscard]] std::span<const NodeId> candidates() const override {
+    return inner_.candidates();
+  }
+  [[nodiscard]] bool wants_transmit(NodeId v, Round r) override {
+    return inner_.wants_transmit(v, r);
+  }
+  [[nodiscard]] bool sample_transmitters(Round r,
+                                         std::vector<NodeId>& out) override {
+    return inner_.sample_transmitters(r, out);
+  }
+  [[nodiscard]] std::optional<std::span<const NodeId>> attentive_listeners()
+      const override {
+    return inner_.attentive_listeners();
+  }
+  void on_delivered(NodeId receiver, NodeId sender, Round r) override {
+    inner_.on_delivered(receiver, sender, r);
+  }
+  void on_delivered_corrupted(NodeId receiver, NodeId sender,
+                              Round r) override {
+    inner_.on_delivered_corrupted(receiver, sender, r);
+  }
+  void on_collision(NodeId receiver, Round r) override {
+    inner_.on_collision(receiver, r);
+  }
+  [[nodiscard]] bool collisions_inert() const override {
+    return inner_.collisions_inert();
+  }
+  void end_round(Round r) override { inner_.end_round(r); }
+  [[nodiscard]] bool is_complete() const override {
+    return inner_.is_complete();
+  }
+  void set_goal_exclusions(std::span<const NodeId> nodes) override {
+    inner_.set_goal_exclusions(nodes);
+  }
+  [[nodiscard]] std::optional<NodeId> stranded_count() const override {
+    return inner_.stranded_count();
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+ private:
+  Protocol& inner_;
+};
+
+inline constexpr unsigned kInBlockThreadCounts[] = {1, 2, 8};
+
+/// `make_run(options, decorated)` runs the scenario, through
+/// ForwardingProtocol when `decorated`. See the file comment.
+template <class MakeRun>
+void expect_in_block_invariant(MakeRun&& make_run, const char* what,
+                               bool trace_keeps_hints) {
+  RunOptions options;
+  options.threads = 1;
+  const RunResult serial = make_run(options, false);
+  EXPECT_GT(serial.ledger.total_deliveries, 0u) << what;
+  RunOptions traced_options = options;
+  traced_options.record_trace = true;
+  const RunResult traced_serial = make_run(traced_options, false);
+  if (trace_keeps_hints) {
+    RunResult stripped = traced_serial;
+    stripped.trace.clear();
+    expect_identical(serial, stripped,
+                     (std::string(what) + " traced vs untraced").c_str());
+  }
+  for (const unsigned threads : kInBlockThreadCounts) {
+    const std::string at = std::string(what) + " x" + std::to_string(threads);
+    options.threads = threads;
+    traced_options.threads = threads;
+    if (threads != 1)
+      expect_identical(serial, make_run(options, false),
+                       (at + " in-block").c_str());
+    expect_identical(serial, make_run(options, true),
+                     (at + " decorated").c_str());
+    if (threads != 1)
+      expect_identical(traced_serial, make_run(traced_options, false),
+                       (at + " traced").c_str());
   }
 }
 

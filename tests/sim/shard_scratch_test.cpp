@@ -20,16 +20,24 @@
 // rounds exercise exactly the two sharded sketch phases. The RGG run
 // parks the motion process (step = 0) and drives just the bucketing phase
 // through its test hook — the counted work is the parallel counting sort
-// plus the cell-ordered merge and scatter, nothing else.
+// plus the cell-ordered merge and scatter, nothing else. The in-block
+// run is a whole untraced Algorithm 1 trial on the pool: receiver-local
+// deliveries are applied inside the sweep blocks and BroadcastState
+// commits in place, so once the per-block scratch has seen the heaviest
+// rounds no round allocates at all.
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/broadcast_random.hpp"
 #include "graph/generators.hpp"
+#include "shard_invariance.hpp"
 #include "sim/engine.hpp"
 #include "support/thread_pool.hpp"
 
@@ -174,6 +182,58 @@ TEST(ShardScratch, RggBucketingSteadyStateAllocFree) {
   EXPECT_EQ(bucketed, tx.size());
   topo.unbucket_for_test();
   topo.set_bucket_chunk(0);
+}
+
+/// Declares receiver-local deliveries (like Algorithm 1 itself) and counts
+/// the ones that arrive on a thread other than the engine's — proof that
+/// the in-block path ran.
+class InBlockProbe final : public shard_test::ForwardingProtocol {
+ public:
+  explicit InBlockProbe(Protocol& inner)
+      : ForwardingProtocol(inner), owner_(std::this_thread::get_id()) {}
+
+  [[nodiscard]] bool deliveries_receiver_local() const override {
+    return true;
+  }
+  void on_delivered(NodeId receiver, NodeId sender, Round r) override {
+    if (std::this_thread::get_id() != owner_)
+      off_thread_.fetch_add(1, std::memory_order_relaxed);
+    ForwardingProtocol::on_delivered(receiver, sender, r);
+  }
+  [[nodiscard]] std::uint64_t off_thread() const { return off_thread_.load(); }
+
+ private:
+  std::thread::id owner_;
+  std::atomic<std::uint64_t> off_thread_{0};
+};
+
+TEST(ShardScratch, InBlockDeliveryRoundsAllocFree) {
+  const graph::NodeId n = 3u << 16;  // three sweep blocks
+  const double p = 8.0 * std::log(n) / n;
+  core::BroadcastRandomProtocol alg1(core::BroadcastRandomParams{.p = p});
+  InBlockProbe probe(alg1);
+  constexpr Round kMaxRounds = 64;
+  // Phases 1-2 and the first multi-chunk attentive round (round 5 here)
+  // size the per-block scratch; every later round must reuse it.
+  constexpr Round kWarmRounds = 6;
+  std::vector<std::uint64_t> after_round;
+  after_round.reserve(kMaxRounds);
+  RunOptions options;
+  options.max_rounds = kMaxRounds;
+  options.threads = 4;
+  options.round_observer = [&](Round) {
+    after_round.push_back(g_allocations.load());
+  };
+  Engine engine;
+  const RunResult result =
+      engine.run(ImplicitGnp{n, p, Rng(0xA110C)}, probe, Rng(3), options);
+  ASSERT_TRUE(result.completed);
+  ASSERT_GT(after_round.size(), kWarmRounds + 8u)
+      << "too few steady-state rounds to count";
+  EXPECT_GT(probe.off_thread(), 0u) << "no delivery ran inside a pool block";
+  for (std::size_t r = kWarmRounds + 1; r < after_round.size(); ++r)
+    EXPECT_EQ(after_round[r] - after_round[r - 1], 0u)
+        << "round " << r << " allocated on the in-block path";
 }
 
 }  // namespace

@@ -227,6 +227,103 @@ TEST(ThreadInvariance, ImplicitRggAttentiveBulkLedger) {
   }
 }
 
+// In-block deliveries (sim/sharding.hpp): Algorithm 1 and the gossip
+// marginal declare receiver-local deliveries, so their untraced pool runs
+// apply deliveries inside the sweep blocks. n spans three listener blocks
+// and the attentive hint stays above one chunk in the heavy rounds, so
+// both the sweep and the attentive path run their parallel branch.
+constexpr graph::NodeId kInBlockN = 140'000;
+
+template <class Proto, class Params, class Spec>
+RunResult run_maybe_decorated(const Spec& spec, const Params& params,
+                              RunOptions options, bool decorated,
+                              std::uint64_t seed) {
+  Proto proto(params);
+  Engine engine;
+  if (!decorated) return engine.run(spec, proto, Rng(seed), options);
+  shard_test::ForwardingProtocol wrapper(proto);
+  return engine.run(spec, wrapper, Rng(seed), options);
+}
+
+template <class Proto, class Params>
+void expect_in_block_ignp(const Params& params, double p, const char* what) {
+  shard_test::expect_in_block_invariant(
+      [&](RunOptions options, bool decorated) {
+        options.max_rounds = 48;
+        const ImplicitGnp spec{kInBlockN, p, Rng(0x1B10C)};
+        return run_maybe_decorated<Proto>(spec, params, options, decorated,
+                                          41);
+      },
+      what, /*trace_keeps_hints=*/false);
+}
+
+template <class Proto, class Params>
+void expect_in_block_idgnp(const Params& params, double p, const char* what) {
+  shard_test::expect_in_block_invariant(
+      [&](RunOptions options, bool decorated) {
+        options.max_rounds = 48;
+        ImplicitDynamicGnp spec;
+        spec.n = kInBlockN;
+        spec.p = p;
+        spec.churn = 0.5;
+        spec.rng = Rng(0x1B10D);
+        return run_maybe_decorated<Proto>(spec, params, options, decorated,
+                                          43);
+      },
+      what, /*trace_keeps_hints=*/false);
+}
+
+template <class Proto, class Params>
+void expect_in_block_irgg(const Params& params, double radius,
+                          const char* what) {
+  shard_test::expect_in_block_invariant(
+      [&](RunOptions options, bool decorated) {
+        options.max_rounds = 48;
+        const ImplicitRgg spec{kInBlockN, radius, radius / 8.0, Rng(0x1B10E)};
+        return run_maybe_decorated<Proto>(spec, params, options, decorated,
+                                          47);
+      },
+      what, /*trace_keeps_hints=*/true);
+}
+
+TEST(ThreadInvariance, InBlockAlg1Ignp) {
+  const double p = 8.0 * std::log(kInBlockN) / kInBlockN;
+  expect_in_block_ignp<BroadcastRandomProtocol>(
+      BroadcastRandomParams{.p = p}, p, "in-block alg1 ignp");
+}
+
+TEST(ThreadInvariance, InBlockAlg1Idgnp) {
+  const double p = 16.0 / kInBlockN;
+  expect_in_block_idgnp<BroadcastRandomProtocol>(
+      BroadcastRandomParams{.p = p}, p, "in-block alg1 idgnp");
+}
+
+TEST(ThreadInvariance, InBlockAlg1Irgg) {
+  const double radius = std::sqrt(16.0 / (3.14159 * kInBlockN));
+  expect_in_block_irgg<BroadcastRandomProtocol>(
+      BroadcastRandomParams{.p = 3.14159 * radius * radius}, radius,
+      "in-block alg1 irgg");
+}
+
+TEST(ThreadInvariance, InBlockAlg2mIgnp) {
+  const double p = 8.0 * std::log(kInBlockN) / kInBlockN;
+  expect_in_block_ignp<GossipRumorMarginalProtocol>(
+      GossipRumorMarginalParams{.p = p}, p, "in-block alg2m ignp");
+}
+
+TEST(ThreadInvariance, InBlockAlg2mIdgnp) {
+  const double p = 16.0 / kInBlockN;
+  expect_in_block_idgnp<GossipRumorMarginalProtocol>(
+      GossipRumorMarginalParams{.p = p}, p, "in-block alg2m idgnp");
+}
+
+TEST(ThreadInvariance, InBlockAlg2mIrgg) {
+  const double radius = std::sqrt(16.0 / (3.14159 * kInBlockN));
+  expect_in_block_irgg<GossipRumorMarginalProtocol>(
+      GossipRumorMarginalParams{.p = 3.14159 * radius * radius}, radius,
+      "in-block alg2m irgg");
+}
+
 TEST(ThreadInvariance, CsrStaticAllPaths) {
   // Large enough for ~20 adaptive listener blocks, so 2- and 8-thread
   // schedules genuinely interleave block execution.
