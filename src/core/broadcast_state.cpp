@@ -1,6 +1,7 @@
 #include "core/broadcast_state.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "support/require.hpp"
 
@@ -72,26 +73,42 @@ void BroadcastState::commit() {
     has_deactivations_ = false;
   }
   // One ascending pass: keep the still-uninformed in place, append the
-  // round's activations, count the new valid copies. Every store is
-  // unconditional and every cursor advances by a 0/1 flag, so the loop
-  // carries no data-dependent branch. Only deliver() sets kActivate and
-  // kValid on a listed node, and both imply kInformed. The speculative
-  // active[appended] store stays in bounds: v is not active yet and the
-  // active list holds distinct nodes, so appended < n here.
+  // round's activations, count the new valid copies. Only deliver() sets
+  // kActivate and kValid on a listed node, and both imply kInformed.
   NodeId* list = uninformed_.data();
   const std::size_t m = uninformed_.size();
   std::size_t keep = 0;
   NodeId appended = active_count_;
   NodeId valid = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    const NodeId v = list[i];
+  // Per entry: every store is unconditional and every cursor advances by
+  // a 0/1 flag, so rounds that inform many nodes carry no data-dependent
+  // branch. The speculative active[appended] store stays in bounds: v is
+  // not active yet and the active list holds distinct nodes, so
+  // appended < n here.
+  const auto settle = [&](NodeId v) {
     const unsigned f = flags[v];
     list[keep] = v;
     keep += (f & kInformed) ^ kInformed;
     active[appended] = v;
     appended += (f & (kActivate | kDeactivated)) == kActivate;
     valid += (f & (kValid | kExcluded)) == kValid;
+  };
+  // Rounds that inform few nodes leave most runs of the list untouched: a
+  // run whose flags OR to no kInformed is only shifted down (or left in
+  // place before the first drop), not settled entry by entry.
+  constexpr std::size_t kRun = 16;
+  std::size_t i = 0;
+  for (; i + kRun <= m; i += kRun) {
+    unsigned any = 0;
+    for (std::size_t j = 0; j < kRun; ++j) any |= flags[list[i + j]];
+    if (any & kInformed) {
+      for (std::size_t j = 0; j < kRun; ++j) settle(list[i + j]);
+    } else {
+      if (keep != i) std::memmove(list + keep, list + i, kRun * sizeof(NodeId));
+      keep += kRun;
+    }
   }
+  for (; i < m; ++i) settle(list[i]);
   informed_count_ += static_cast<NodeId>(m - keep);
   valid_count_ += valid;
   active_count_ = appended;

@@ -15,10 +15,12 @@
 // flags byte and its informed_time_ slot, so deliveries to distinct
 // receivers may run concurrently (the engine's in-block delivery path,
 // Protocol::deliveries_receiver_local) and in any order. Everything that
-// aggregates over nodes settles at commit(): one branch-free compaction
-// pass over the ascending uninformed list drops the newly informed, bumps
+// aggregates over nodes settles at commit(): one compaction pass over the
+// ascending uninformed list drops the newly informed, bumps
 // informed_count() and valid_count(), and appends the round's activations
-// in ascending node order. Counts therefore read the state as of the last
+// in ascending node order (runs of 16 entries that no delivery touched
+// are shifted whole; the others settle entry by entry without
+// data-dependent branches). Counts therefore read the state as of the last
 // commit(), never a half-applied round.
 //
 // Adversary support (sim/adversary.hpp): alongside the informed flag the
