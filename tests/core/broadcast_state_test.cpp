@@ -130,22 +130,6 @@ TEST(BroadcastStateTest, ResetClearsEverything) {
   EXPECT_EQ(active_vec(s), (std::vector<NodeId>{1}));
 }
 
-TEST(BroadcastStateTest, UninformedIsAscendingAndActivationsAppendAscending) {
-  BroadcastState s;
-  s.reset(8, 3);
-  EXPECT_EQ(std::vector<NodeId>(s.uninformed().begin(), s.uninformed().end()),
-            (std::vector<NodeId>{0, 1, 2, 4, 5, 6, 7}));
-  // Delivery order does not matter: activations append in node order.
-  s.deliver(6, 0);
-  s.deliver(1, 0);
-  s.deliver(4, 0);
-  s.commit();
-  EXPECT_EQ(active_vec(s), (std::vector<NodeId>{3, 1, 4, 6}));
-  EXPECT_EQ(std::vector<NodeId>(s.uninformed().begin(), s.uninformed().end()),
-            (std::vector<NodeId>{0, 2, 5, 7}));
-  EXPECT_EQ(s.informed_time(0), BroadcastState::kNotInformed);
-}
-
 // Reference model: std::set for the uninformed set, a vector for the
 // active list, activations appended in ascending order at commit().
 struct ModelState {
