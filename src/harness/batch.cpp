@@ -571,10 +571,7 @@ double BatchSpec::effective_p() const {
     return std::min(1.0, kPi * r * r);
   }
   if (p > 0.0) return p;
-  // Dense small-n corners of a delta sweep can push delta*ln(n)/n past 1;
-  // the model then saturates at the complete graph rather than rejecting.
-  return std::min(1.0, delta * std::log(static_cast<double>(n)) /
-                           static_cast<double>(n));
+  return delta_link_probability(n, delta);
 }
 
 double BatchSpec::rgg_radius() const {
@@ -583,10 +580,11 @@ double BatchSpec::rgg_radius() const {
 
 std::uint64_t BatchSpec::resolved_max_rounds() const {
   if (max_rounds > 0) return max_rounds;
-  // Same budget radnet_cli derives: 64 * (D log n + log^2 n), with the hop
-  // diameter D from the family's geometry. Keeping the formulas identical
-  // means a batch spec and the equivalent CLI invocation run the same
-  // experiment.
+  // radnet_cli's budget formula, 64 * (D log n + log^2 n), with the hop
+  // diameter D from the family's geometry. For ignp, idgnp and irgg the CLI
+  // derives the same D and p, so the same seed runs the same experiment.
+  // For csr it does not: the CLI measures p and D on a sample graph, while
+  // a batch spec keeps the nominal p and assumes D = 2 log n + 8.
   const double log2n = std::log2(static_cast<double>(n));
   const std::uint64_t diameter =
       family == BatchFamily::kImplicitRgg

@@ -57,7 +57,7 @@
 // contracts; tests/harness/faultinject_test.cpp pins the crash-safety
 // invariant resume(interrupt(run)) == run; tools/bench_runner.cpp gates
 // cold-vs-cached, serial-vs-parallel and kill-resume identity in the
-// bench_smoke JSON (schema v7).
+// bench_smoke JSON.
 #pragma once
 
 #include <atomic>
@@ -110,7 +110,8 @@ struct BatchSpec {
   std::uint32_t trials = 256;
   std::uint64_t seed = 0x5eed;
   /// Per-trial round budget; 0 derives the standard budget from n (and the
-  /// RGG hop diameter), mirroring radnet_cli.
+  /// RGG hop diameter) with radnet_cli's formula. For csr the CLI plugs in
+  /// a measured diameter instead, so its default budget differs.
   std::uint64_t max_rounds = 0;
   /// Early-stop tolerance: converged once the completion-rate CI half-width
   /// is <= tol AND the rounds-median CI half-width is <= tol * median.

@@ -91,6 +91,72 @@ void McSpec::validate() const {
   run_options.adversary.validate();
 }
 
+TrialRun run_trial(const McSpec& spec, std::uint32_t trial,
+                   const sim::RunOptions& options) {
+  spec.validate();
+  const Rng root(spec.seed);
+  Rng graph_rng = root.split(trial, 0);
+  const Rng protocol_rng = root.split(trial, 1);
+  // Adversarial specs re-key the adversary per trial from the (seed,
+  // trial, 2) stream — the phase after graph (0) and protocol (1) — so
+  // roles, budgets and fault draws differ across trials, and paired specs
+  // with the same root seed face identical adversaries.
+  sim::RunOptions rekeyed;
+  const sim::RunOptions* opts = &options;
+  if (options.adversary.active()) {
+    rekeyed = options;
+    rekeyed.adversary.seed = root.split(trial, 2).next_u64();
+    opts = &rekeyed;
+  }
+  // Handed to make_protocol for implicit and sequence trials; protocols
+  // are oblivious and must not read the topology from it.
+  static const graph::Digraph placeholder;
+  const auto make_protocol = [&](const graph::Digraph& g) {
+    std::unique_ptr<sim::Protocol> protocol = spec.make_protocol(g, trial);
+    RADNET_CHECK(protocol != nullptr, "make_protocol returned null");
+    return protocol;
+  };
+
+  sim::Engine engine;
+  TrialRun out;
+  std::unique_ptr<sim::Protocol> protocol;
+  if (spec.implicit_dynamic.has_value()) {
+    sim::ImplicitDynamicGnp gnp = *spec.implicit_dynamic;
+    gnp.rng = graph_rng;
+    protocol = make_protocol(placeholder);
+    out.run = engine.run(gnp, *protocol, protocol_rng, *opts);
+    out.nodes = gnp.n;
+  } else if (spec.implicit_rgg.has_value()) {
+    sim::ImplicitRgg rgg = *spec.implicit_rgg;
+    rgg.rng = graph_rng;
+    protocol = make_protocol(placeholder);
+    out.run = engine.run(rgg, *protocol, protocol_rng, *opts);
+    out.nodes = rgg.n;
+  } else if (spec.implicit_gnp.has_value()) {
+    const sim::ImplicitGnp gnp{spec.implicit_gnp->n, spec.implicit_gnp->p,
+                               graph_rng};
+    protocol = make_protocol(placeholder);
+    out.run = engine.run(gnp, *protocol, protocol_rng, *opts);
+    out.nodes = gnp.n;
+  } else if (spec.make_sequence) {
+    const std::unique_ptr<graph::TopologySequence> seq =
+        spec.make_sequence(trial, graph_rng);
+    RADNET_CHECK(seq != nullptr, "make_sequence returned null");
+    protocol = make_protocol(placeholder);
+    out.run = engine.run(*seq, *protocol, protocol_rng, *opts);
+    out.nodes = seq->num_nodes();
+  } else {
+    const std::shared_ptr<const graph::Digraph> g =
+        spec.make_graph(trial, graph_rng);
+    RADNET_CHECK(g != nullptr, "make_graph returned null");
+    protocol = make_protocol(*g);
+    out.run = engine.run(*g, *protocol, protocol_rng, *opts);
+    out.nodes = g->num_nodes();
+  }
+  out.stranded = protocol->stranded_count();
+  return out;
+}
+
 McResult run_monte_carlo(const McSpec& spec) {
   McResult result;
   run_monte_carlo_range(spec, 0, spec.trials, result);
@@ -117,10 +183,6 @@ void run_monte_carlo_range(const McSpec& spec, std::uint32_t first,
 
   McResult& result = into;
   result.outcomes.resize(static_cast<std::size_t>(slots));
-  const Rng root(spec.seed);
-  // Handed to make_protocol for implicit trials; protocols are oblivious
-  // and must not read the topology from it.
-  static const graph::Digraph placeholder;
 
   // Trial- vs round-parallelism: with at least one trial per pool thread,
   // independent trials saturate the machine, so each trial runs its rounds
@@ -152,89 +214,31 @@ void run_monte_carlo_range(const McSpec& spec, std::uint32_t first,
       (sampled_backend ? count < global_pool().size() : count == 1);
   if (round_parallel) run_options.threads = 0;
 
-  // Adversarial specs re-key the adversary per trial from the (seed,
-  // trial, 2) stream — the phase after graph (0) and protocol (1) — so
-  // roles, budgets and fault draws differ across trials, and paired specs
-  // with the same root seed face identical adversaries.
-  const bool adversarial = run_options.adversary.active();
-
-  const auto run_trial = [&](std::uint64_t idx) {
+  const auto fill = [&](std::uint64_t idx) {
     // Absolute trial id: randomness streams are keyed on it, so a trial's
     // outcome never depends on which range call ran it.
-    const std::uint64_t t = first + idx;
-    const auto trial = static_cast<std::uint32_t>(t);
-    Rng graph_rng = root.split(t, 0);
-    const Rng protocol_rng = root.split(t, 1);
-    sim::RunOptions trial_options;
-    const sim::RunOptions* options = &run_options;
-    if (adversarial) {
-      trial_options = run_options;
-      trial_options.adversary.seed = root.split(t, 2).next_u64();
-      options = &trial_options;
-    }
-
-    sim::Engine engine;
-    sim::RunResult run;
-    std::unique_ptr<sim::Protocol> protocol;
-    graph::NodeId nodes = 0;
-    if (spec.implicit_dynamic.has_value()) {
-      sim::ImplicitDynamicGnp gnp = *spec.implicit_dynamic;
-      gnp.rng = graph_rng;
-      protocol = spec.make_protocol(placeholder, trial);
-      RADNET_CHECK(protocol != nullptr, "make_protocol returned null");
-      run = engine.run(gnp, *protocol, protocol_rng, *options);
-      nodes = gnp.n;
-    } else if (spec.implicit_rgg.has_value()) {
-      sim::ImplicitRgg rgg = *spec.implicit_rgg;
-      rgg.rng = graph_rng;
-      protocol = spec.make_protocol(placeholder, trial);
-      RADNET_CHECK(protocol != nullptr, "make_protocol returned null");
-      run = engine.run(rgg, *protocol, protocol_rng, *options);
-      nodes = rgg.n;
-    } else if (spec.implicit_gnp.has_value()) {
-      const sim::ImplicitGnp gnp{spec.implicit_gnp->n, spec.implicit_gnp->p,
-                                 graph_rng};
-      protocol = spec.make_protocol(placeholder, trial);
-      RADNET_CHECK(protocol != nullptr, "make_protocol returned null");
-      run = engine.run(gnp, *protocol, protocol_rng, *options);
-      nodes = gnp.n;
-    } else if (spec.make_sequence) {
-      const std::unique_ptr<graph::TopologySequence> seq =
-          spec.make_sequence(trial, graph_rng);
-      RADNET_CHECK(seq != nullptr, "make_sequence returned null");
-      protocol = spec.make_protocol(placeholder, trial);
-      RADNET_CHECK(protocol != nullptr, "make_protocol returned null");
-      run = engine.run(*seq, *protocol, protocol_rng, *options);
-      nodes = seq->num_nodes();
-    } else {
-      const std::shared_ptr<const graph::Digraph> g =
-          spec.make_graph(trial, graph_rng);
-      RADNET_CHECK(g != nullptr, "make_graph returned null");
-      protocol = spec.make_protocol(*g, trial);
-      RADNET_CHECK(protocol != nullptr, "make_protocol returned null");
-      run = engine.run(*g, *protocol, protocol_rng, *options);
-      nodes = g->num_nodes();
-    }
-
+    const auto trial = static_cast<std::uint32_t>(first + idx);
+    const TrialRun t = run_trial(spec, trial, run_options);
     TrialOutcome& out = result.outcomes[trial];
-    out.stranded = protocol->stranded_count();
-    out.completed = run.completed;
-    out.rounds = run.completed ? run.completion_round : run.rounds_executed;
-    out.total_tx = run.ledger.total_transmissions;
-    out.max_tx_node = run.ledger.max_tx_per_node();
-    out.mean_tx_node = run.ledger.mean_tx_per_node();
-    out.deliveries = run.ledger.total_deliveries;
-    out.collisions = run.ledger.total_collisions;
-    out.nodes = nodes;
+    out.stranded = t.stranded;
+    out.completed = t.run.completed;
+    out.rounds =
+        t.run.completed ? t.run.completion_round : t.run.rounds_executed;
+    out.total_tx = t.run.ledger.total_transmissions;
+    out.max_tx_node = t.run.ledger.max_tx_per_node();
+    out.mean_tx_node = t.run.ledger.mean_tx_per_node();
+    out.deliveries = t.run.ledger.total_deliveries;
+    out.collisions = t.run.ledger.total_collisions;
+    out.nodes = t.nodes;
   };
 
   if (spec.serial || round_parallel) {
     // Sequential trials: either truly serial (spec.serial) or because each
     // trial's round sweeps own the pool (round_parallel — launching trials
     // through the pool here would inline the nested sweeps instead).
-    for (std::uint32_t i = 0; i < count; ++i) run_trial(i);
+    for (std::uint32_t i = 0; i < count; ++i) fill(i);
   } else {
-    global_pool().parallel_for_index(count, run_trial);
+    global_pool().parallel_for_index(count, fill);
   }
 
   // `into.successes` already counts trials [0, first); fold in the range.

@@ -153,6 +153,27 @@ struct McResult {
 void run_monte_carlo_range(const McSpec& spec, std::uint32_t first,
                            std::uint32_t count, McResult& into);
 
+/// One trial's full engine output: what run_monte_carlo_range condenses
+/// into a TrialOutcome, for callers that compare whole runs (the bench
+/// gates, the golden fingerprints).
+struct TrialRun {
+  sim::RunResult run;
+  /// Protocol::stranded_count() when the trial ended.
+  std::optional<graph::NodeId> stranded;
+  graph::NodeId nodes = 0;
+};
+
+/// Runs trial `trial` of `spec` under `options` (normally spec.run_options
+/// with a caller-chosen thread count) — the one place a trial is built.
+/// The topology source is dispatched in precedence order implicit_dynamic,
+/// implicit_rgg, implicit_gnp, make_sequence, make_graph; the graph draws
+/// from the (seed, trial, 0) stream and the protocol from (seed, trial, 1),
+/// and an active adversary is re-keyed from (seed, trial, 2). The result
+/// is therefore identical to trial `trial` of run_monte_carlo at any
+/// thread count. Validates the spec.
+[[nodiscard]] TrialRun run_trial(const McSpec& spec, std::uint32_t trial,
+                                 const sim::RunOptions& options);
+
 /// Convenience: wraps an already-built graph for McSpec::make_graph.
 [[nodiscard]] std::function<std::shared_ptr<const graph::Digraph>(std::uint32_t, Rng)>
 shared_graph(graph::Digraph g);

@@ -1,5 +1,6 @@
 #include "support/math.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 
@@ -26,6 +27,11 @@ double ln(double x) {
 double log2d(double x) {
   RADNET_REQUIRE(x > 0.0, "log2d needs x > 0");
   return std::log2(x);
+}
+
+double delta_link_probability(std::uint64_t n, double delta) {
+  return std::min(1.0, delta * std::log(static_cast<double>(n)) /
+                           static_cast<double>(n));
 }
 
 std::uint32_t phase1_rounds(std::uint64_t n, double d) {

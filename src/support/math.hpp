@@ -31,6 +31,12 @@ namespace radnet {
 /// Algorithm 3 and the Theorem 4.2 trade-off.
 [[nodiscard]] double lambda_of(std::uint64_t n, std::uint64_t diameter);
 
+/// The delta-parameterised link probability p = delta * ln(n) / n,
+/// saturated at 1: dense small-n corners of a delta sweep reach the
+/// complete graph instead of an invalid p. Shared by batch specs and the
+/// CLI so both resolve --delta / delta= to the same p.
+[[nodiscard]] double delta_link_probability(std::uint64_t n, double delta);
+
 /// Integer power with saturation at std::uint64_t max.
 [[nodiscard]] std::uint64_t ipow_sat(std::uint64_t base, std::uint32_t exp);
 

@@ -102,40 +102,13 @@ std::uint64_t fingerprint(const sim::RunResult& r) {
   return h.value();
 }
 
-/// Trial 0 of the spec, on the same graph / protocol streams
-/// run_monte_carlo derives for it, at an explicit thread count.
+/// Trial 0 of the spec at an explicit thread count — the same trial
+/// run_monte_carlo builds.
 sim::RunResult run_trial0(const Scenario& s) {
-  const harness::BatchSpec spec = harness::parse_batch_spec(s.spec);
-  harness::McSpec mc = spec.to_mc_spec();
-  mc.validate();
-  const Rng root(mc.seed);
-  const Rng graph_rng = root.split(0, 0);
-  const Rng protocol_rng = root.split(0, 1);
+  const harness::McSpec mc = harness::parse_batch_spec(s.spec).to_mc_spec();
   sim::RunOptions options = mc.run_options;
   options.threads = s.threads;
-  static const graph::Digraph placeholder;
-  sim::Engine engine;
-  if (mc.implicit_dynamic.has_value()) {
-    sim::ImplicitDynamicGnp gnp = *mc.implicit_dynamic;
-    gnp.rng = graph_rng;
-    const auto proto = mc.make_protocol(placeholder, 0);
-    return engine.run(gnp, *proto, protocol_rng, options);
-  }
-  if (mc.implicit_rgg.has_value()) {
-    sim::ImplicitRgg rgg = *mc.implicit_rgg;
-    rgg.rng = graph_rng;
-    const auto proto = mc.make_protocol(placeholder, 0);
-    return engine.run(rgg, *proto, protocol_rng, options);
-  }
-  if (mc.implicit_gnp.has_value()) {
-    const sim::ImplicitGnp gnp{mc.implicit_gnp->n, mc.implicit_gnp->p,
-                               graph_rng};
-    const auto proto = mc.make_protocol(placeholder, 0);
-    return engine.run(gnp, *proto, protocol_rng, options);
-  }
-  const auto g = mc.make_graph(0, graph_rng);
-  const auto proto = mc.make_protocol(*g, 0);
-  return engine.run(*g, *proto, protocol_rng, options);
+  return harness::run_trial(mc, 0, options).run;
 }
 
 std::string hex(std::uint64_t v) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/broadcast_random.hpp"
+#include "graph/dynamics.hpp"
 #include "graph/generators.hpp"
 
 namespace radnet::harness {
@@ -121,6 +123,80 @@ TEST(MonteCarloTest, FailuresAreCensoredInRoundsSample) {
   EXPECT_EQ(result.successes, 0u);
   EXPECT_TRUE(result.rounds_sample().empty());
   EXPECT_EQ(result.total_tx_sample().size(), 4u);
+}
+
+TEST(MonteCarloTest, RunTrialMatchesMonteCarloOutcomes) {
+  // run_trial is the one place a trial is built: for every topology source,
+  // and under an adversary re-keyed per trial, trial t at threads = 1 must
+  // reproduce outcome t of a trial-parallel run_monte_carlo.
+  const std::uint32_t n = 256;
+  const double p = 16.0 * std::log(n) / n;
+  const auto sourced = [&](const auto& set_source) {
+    McSpec spec = alg1_spec(n, p, 6, 21);
+    spec.make_graph = nullptr;
+    set_source(spec);
+    return spec;
+  };
+  sim::ImplicitDynamicGnp dynamic;
+  dynamic.n = n;
+  dynamic.p = p;
+  dynamic.churn = 0.5;
+  const double radius = graph::rgg_threshold_radius(n, 2.0);
+  sim::AdversarySpec adversary;
+  adversary.jammer_fraction = 0.05;
+  adversary.byzantine_fraction = 0.05;
+  adversary.budget_mean = 2.0;
+  adversary.protected_nodes = {0};
+  const std::pair<const char*, McSpec> specs[] = {
+      {"make_graph", alg1_spec(n, p, 6, 21)},
+      {"make_sequence", sourced([&](McSpec& s) {
+         s.make_sequence = [n, p](std::uint32_t, Rng rng) {
+           return std::make_unique<graph::ChurnGnp>(n, p, 0.5, rng);
+         };
+       })},
+      {"implicit_gnp",
+       sourced([&](McSpec& s) { s.implicit_gnp = ImplicitGnpParams{n, p}; })},
+      {"implicit_dynamic",
+       sourced([&](McSpec& s) { s.implicit_dynamic = dynamic; })},
+      {"implicit_rgg", sourced([&](McSpec& s) {
+         s.implicit_rgg = sim::ImplicitRgg{n, radius, radius / 8.0, Rng{}};
+       })},
+      {"adversarial", sourced([&](McSpec& s) {
+         s.implicit_gnp = ImplicitGnpParams{n, p};
+         s.run_options.adversary = adversary;
+       })},
+  };
+  for (const auto& [name, spec] : specs) {
+    const McResult all = run_monte_carlo(spec);
+    for (const std::uint32_t t : {0u, 2u, 5u}) {
+      const TrialRun trial = run_trial(spec, t, spec.run_options);
+      const sim::RunResult& r = trial.run;
+      const TrialOutcome& o = all.outcomes[t];
+      SCOPED_TRACE(std::string(name) + " trial " + std::to_string(t));
+      EXPECT_EQ(r.completed, o.completed);
+      EXPECT_EQ(r.completed ? r.completion_round : r.rounds_executed, o.rounds);
+      EXPECT_EQ(r.ledger.total_transmissions, o.total_tx);
+      EXPECT_EQ(r.ledger.total_deliveries, o.deliveries);
+      EXPECT_EQ(r.ledger.total_collisions, o.collisions);
+      EXPECT_EQ(trial.stranded, o.stranded);
+      EXPECT_EQ(trial.nodes, o.nodes);
+    }
+  }
+
+  // The adversarial trial is keyed on (seed, t, 0) for the graph, (seed, t,
+  // 1) for the protocol and (seed, t, 2) for the adversary.
+  const McSpec& adv = specs[5].second;
+  const std::uint32_t t = 2;
+  const Rng root(adv.seed);
+  sim::RunOptions options = adv.run_options;
+  options.adversary.seed = root.split(t, 2).next_u64();
+  core::BroadcastRandomProtocol proto(core::BroadcastRandomParams{.p = p});
+  const sim::RunResult manual = sim::Engine().run(
+      sim::ImplicitGnp{n, p, root.split(t, 0)}, proto, root.split(t, 1),
+      options);
+  const TrialRun trial = run_trial(adv, t, adv.run_options);
+  EXPECT_GT(trial.run.adversary.jammer_count, 0u);
+  EXPECT_EQ(trial.run, manual);
 }
 
 }  // namespace

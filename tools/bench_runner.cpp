@@ -1,92 +1,47 @@
-// Perf-trajectory runner: times the engine's hot paths and writes
-// BENCH_engine.json so CI can track regressions from one PR to the next.
+// Perf-trajectory runner: times the engine's hot paths, checks the
+// determinism gates and writes BENCH_engine.json, so CI can track
+// regressions from one PR to the next. `ctest -L bench_smoke` runs it with
+// --quick; it needs no google-benchmark. Schema v10:
 //
-// Covers the same ground as bench_e13_engine_micro (rounds/second of the
-// CSR engine under a fixed-probability load) plus the implicit-vs-CSR
-// end-to-end comparison of bench_e15_topology, in-process and without the
-// google-benchmark dependency so it can run as a ctest (`ctest -L
-// bench_smoke`). Medians of ns/round at several n are emitted as JSON:
+//   { "schema": "radnet-bench-engine-v10",
+//     "host": {"hardware_concurrency", "pool_threads", "simd", "cpu_avx2"},
+//     "benchmarks": [ {"name", "n", "ns_per_round", "wall_ms", "threads",
+//                      "peak_rss_kb"}, ... ],
+//     "comparison": {"n", "p", "csr_ms", "implicit_ms", "speedup",
+//                    "peak_rss_kb"},
+//     "dynamic": {"n", "churn", "trial_ms", "rounds"},
+//     "thread_scaling": [ {"name", "protocol", "family", "n", "max_rounds",
+//                          "serial_ms", "parallel_ms", "speedup",
+//                          "pool_threads", "identical", "peak_rss_kb"
+//                          [, "stranded_fraction"]}, ... ],
+//     "e19_batch": {"specs", "trials_run", "trials_saved", "serial_ms",
+//                   "parallel_ms", "warm_ms", "threads_identical",
+//                   "cached_identical"},
+//     "e20_faulttol": {"specs", "kill_confirmed", "partial_prefix",
+//                      "resumed_identical", "journal_trials",
+//                      "journal_results", "baseline_ms", "resume_ms"},
+//     "e13_simd": {"dense_n", "dense_scalar_ns", "dense_simd_ns",
+//                  "dense_speedup", "rgg_n", "rgg_scalar_ns", "rgg_simd_ns",
+//                  "rgg_speedup", "identical"} }
 //
-//   { "schema": "radnet-bench-engine-v6",
-//     "host": {"hardware_concurrency": ..., "pool_threads": ...},
-//     "benchmarks": [ {"name": ..., "n": ..., "ns_per_round": ...,
-//                      "wall_ms": ..., "threads": ..., "peak_rss_kb": ...},
-//                    ... ],
-//     "comparison": {"n": ..., "p": ..., "csr_ms": ..., "implicit_ms": ...,
-//                    "speedup": ...},
-//     "dynamic": {"n": ..., "churn": ..., "trial_ms": ..., "rounds": ...},
-//     "thread_scaling": {"n": ..., "serial_ms": ..., "parallel_ms": ...,
-//                        "speedup": ..., "pool_threads": ...,
-//                        "identical": ...},
-//     "csr_thread_scaling": { same shape as thread_scaling },
-//     "e14b_mobility": {"n": ..., "degree": ..., "horizon": ...,
-//                       "serial_ms": ..., "parallel_ms": ..., "speedup": ...,
-//                       "pool_threads": ..., "identical": ...,
-//                       "peak_rss_kb": ...},
-//     "e18_adversary": {"n": ..., "jammer_fraction": ...,
-//                       "byzantine_fraction": ..., "budget_mean": ...,
-//                       "horizon": ..., "serial_ms": ..., "parallel_ms": ...,
-//                       "speedup": ..., "pool_threads": ...,
-//                       "identical": ..., "stranded_fraction": ...},
-//     "e19_batch": {"specs": ..., "trials_run": ..., "trials_saved": ...,
-//                   "serial_ms": ..., "parallel_ms": ..., "warm_ms": ...,
-//                   "threads_identical": ..., "cached_identical": ...},
-//     "e20_faulttol": {"specs": ..., "kill_confirmed": ...,
-//                      "partial_prefix": ..., "resumed_identical": ...,
-//                      "journal_trials": ..., "journal_results": ...,
-//                      "baseline_ms": ..., "resume_ms": ...} }
+// "benchmarks" holds median ns per round of the CSR and implicit engines
+// under a fixed-probability load, plus the per-sweep cost of the two SIMD
+// kernels under scalar and SIMD dispatch. "comparison" is one broadcast on
+// CSR vs implicit G(n,p); "dynamic" one churned gossip trial (E16).
 //
-// Every entry carries its wall-clock cost, the thread count it ran with
-// and the process peak RSS when it finished (ru_maxrss — monotone, so an
-// entry's value is the high-water mark up to that point), seeding the
-// perf trajectory across PRs. The "dynamic" object tracks E16
-// (bench_e16_dynamic_scale): one churned gossip trial (single-rumor
-// marginal of Algorithm 2) on the graph-free implicit dynamic backend.
-// "thread_scaling" tracks E17 (bench_e17_thread_scaling): the same
-// single-trial broadcast with serial vs all-core block-sharded round
-// sweeps, plus the bit-identity check between them. Schema v3 adds
-// "csr_thread_scaling": the explicit-CSR counterpart (serial vs all-core
-// scatter/gather delivery on a materialised G(n,p)). Schema v4 adds
-// "e14b_mobility": one fixed-horizon Algorithm-1 broadcast on the
-// graph-free implicit mobility-RGG backend (bench_e14_dynamic part (c);
-// n = 10^7 in the full run — a topology whose explicit per-round rebuild
-// could not allocate), serial vs all-core with the same bit-identity
-// column. Schema v5 adds "e18_adversary": one fixed-horizon Algorithm-1
-// broadcast under a full adversary (jammers + Byzantine relays + energy
-// budgets + a crash/recover schedule, sim/adversary.hpp) on the implicit
-// G(n,p) backend, serial vs all-core; "identical" compares the complete
-// RunResult including AdversaryStats, and "stranded_fraction" seeds the
-// robustness trajectory. Schema v6 adds "e19_batch": a small mixed-family
-// spec set answered by the batch sweep service (harness/batch.hpp) four
-// ways — serial vs all-core with early stopping, then cold-cache vs
-// warm-cache replay — with byte-identity of the streamed result lines
-// asserted across all of them. The smoke gate FAILS (non-zero exit) if any
-// family's serial and parallel results ever diverge, or if a cached batch
-// answer differs by one byte from the cold run that produced it —
-// bit-identity is a correctness contract, not a statistic. Schema v7 adds
-// "e20_faulttol": the crash-safety gate. A journaled sweep is forked into
-// a child that is SIGKILLed mid-flight by the RADNET_FAULT grant-boundary
-// hook, then resumed in-process from the journal's committed prefix; the
-// gate fails unless the child really died by SIGKILL, the torn partial
-// output is a byte-prefix of the uninterrupted stream, and the resumed
-// stream is byte-identical to it (resume(interrupt(run)) == run).
-// Schema v8 adds "e13_simd" plus four benchmarks rows
-// (dense_classify_sweep_* / rgg_distance_sweep_*): per-sweep ns/round of
-// the two vectorised hot loops — the dense G(n,p) lane classification and
-// the RGG distance-mask scan — timed under scalar and SIMD dispatch
-// (support/simd.hpp), and a "simd"/"cpu_avx2" pair in the host block
-// recording which kernels the run actually used. The smoke gate FAILS if
-// the scalar and SIMD kernels ever diverge: the lane generator's bulk
-// stream is byte-compared against its scalar reference, and both sweep
-// benchmarks fingerprint every emitted event (order included) per mode —
-// SIMD is a dispatch choice, never an observable one. Schema v9 adds
-// "sketch_thread_scaling" and "rgg_bucketing_thread_scaling": the last two
-// per-round phases to shard — the dynamic backend's pair-sketch gather /
-// classify (per sender- and pinned-group-chunk, streams keyed per
-// (round, chunk)) and the RGG transmitter bucketing (per transmitter
-// chunk, RNG-free, cell-ordered merge) — each timed serial vs all-core on
-// a workload that phase dominates, with the same bit-identity gate:
-// divergence fails the run with a non-zero exit.
+// Each "thread_scaling" row is trial 0 of a batch spec (harness/batch.hpp)
+// run through harness::run_trial at threads = 1 and threads = 0 (every
+// pool thread). "identical" compares the complete RunResult, ledger, trace
+// and AdversaryStats included; "stranded_fraction" appears when the
+// protocol tracks provenance. "e19_batch" answers a mixed spec set through
+// run_batch serial vs all-core, then cold vs warm cache. "e20_faulttol"
+// SIGKILLs a journaled sweep mid-flight in a forked child and resumes it.
+// "e13_simd" fingerprints the SIMD kernels' events against their scalar
+// references.
+//
+// Bit-identity is a correctness contract, not a statistic: every gate is
+// evaluated, the JSON is written with each row's identity flags, and the
+// run then exits 1 naming every gate that failed.
 //
 // Flags: --quick shrinks sizes/repetitions for smoke runs; --out overrides
 // the output path (default BENCH_engine.json in the working directory).
@@ -99,17 +54,16 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/broadcast_random.hpp"
-#include "core/gossip_random.hpp"
 #include "graph/generators.hpp"
 #include "harness/batch.hpp"
+#include "harness/monte_carlo.hpp"
 #include "sim/engine.hpp"
 #include "support/cli_args.hpp"
 #include "support/io.hpp"
@@ -122,10 +76,8 @@ namespace {
 
 using radnet::Rng;
 using radnet::Sample;
-using radnet::core::BroadcastRandomParams;
-using radnet::core::BroadcastRandomProtocol;
-using radnet::graph::Digraph;
 using radnet::graph::NodeId;
+namespace rh = radnet::harness;
 
 double now_ns() {
   return std::chrono::duration<double, std::nano>(
@@ -179,292 +131,115 @@ std::uint64_t peak_rss_kb() {
   return static_cast<std::uint64_t>(usage.ru_maxrss);
 }
 
-double median_ns_per_round(std::uint32_t reps,
-                           const std::function<void()>& run_rounds) {
+/// Median ns per round of the fixed-probability load on `topology` (a
+/// Digraph or an ImplicitGnp spec). wall_ms counts from `t0_ns`, so a CSR
+/// entry includes its graph build.
+template <class Topology>
+Entry time_engine(const char* name, std::uint32_t n, std::uint32_t reps,
+                  double t0_ns, const Topology& topology) {
+  radnet::sim::Engine engine;
+  radnet::sim::RunOptions options;
+  options.max_rounds = kRounds;
   Sample ns;
   for (std::uint32_t rep = 0; rep < reps; ++rep) {
+    LoadProtocol proto(0.1);
     const double t0 = now_ns();
-    run_rounds();
+    (void)engine.run(topology, proto, Rng(1), options);
     ns.add((now_ns() - t0) / kRounds);
   }
-  return ns.median();
+  return {name, n, ns.median(), (now_ns() - t0_ns) / 1e6, options.threads,
+          peak_rss_kb()};
 }
 
-Entry finish_entry(Entry entry, double t0_ns) {
-  entry.wall_ms = (now_ns() - t0_ns) / 1e6;
-  entry.peak_rss_kb = peak_rss_kb();
-  return entry;
+/// One gated serial-vs-parallel row: trial 0 of a batch spec.
+struct ScalingRow {
+  std::string name;
+  rh::BatchSpec spec;
+  double serial_ms = 0.0;
+  double parallel_ms = 0.0;
+  bool identical = false;
+  std::optional<double> stranded_fraction = std::nullopt;
+  std::uint64_t peak_rss_kb = 0;
+};
+
+/// Parses `line` at size n. A positive `degree` pins the mean degree:
+/// p = degree / n, or for irgg radius-mult = degree / ln n (so that
+/// pi r^2 n = degree).
+rh::BatchSpec scaling_spec(const std::string& line, NodeId n,
+                           double degree = 0.0) {
+  rh::BatchSpec spec = rh::parse_batch_spec(line + " n=" + std::to_string(n));
+  if (degree > 0.0) {
+    if (spec.family == rh::BatchFamily::kImplicitRgg)
+      spec.radius_mult = degree / std::log(static_cast<double>(n));
+    else
+      spec.p = degree / n;
+  }
+  spec.validate();
+  return spec;
 }
 
-Entry time_csr_engine(std::uint32_t n, std::uint32_t reps) {
+/// The gated rows. Algorithm 1 on ignp at d = 8 ln n completes reliably,
+/// so thread_scaling times a full broadcast; the csr row at d = 32 has
+/// heavy rounds for the scatter/gather delivery; the gossip rows keep
+/// every node transmitting, so churn = 0.5 routes each delivery through
+/// the pair sketch and the RGG rows keep k large for the transmitter
+/// bucketing; e14b_mobility reaches n = 10^7 in the full run, where an
+/// explicit per-round rebuild could not allocate; e18_adversary runs the
+/// whole adversary stack.
+std::vector<ScalingRow> scaling_rows(bool quick) {
+  const auto size = [quick](NodeId q, NodeId full) { return quick ? q : full; };
+  const std::string horizon = quick ? " max-rounds=32" : " max-rounds=64";
+  const std::string alg1_ignp = "protocol=alg1 family=ignp delta=8";
+  const std::string gossip = "protocol=alg2m max-rounds=64 family=";
+  const std::string adversary =
+      " jammers=0.01 byzantine=0.02 energy-budget=4:0.25"
+      " fault-schedule=crash@8:0.1,recover@16:1";
+  return {
+      {.name = "thread_scaling",
+       .spec = scaling_spec(alg1_ignp, size(1u << 18, 1u << 22))},
+      {.name = "csr_thread_scaling",
+       .spec = scaling_spec("protocol=alg1 family=csr",
+                            size(1u << 15, 1u << 19), 32.0)},
+      {.name = "idgnp_gossip_thread_scaling",
+       .spec = scaling_spec(gossip + "idgnp churn=0.5",
+                            size(1u << 14, 1u << 20), 16.0)},
+      {.name = "irgg_gossip_thread_scaling",
+       .spec = scaling_spec(gossip + "irgg", size(1u << 14, 1u << 20), 16.0)},
+      {.name = "e14b_mobility",
+       .spec = scaling_spec("protocol=alg1 family=irgg" + horizon,
+                            size(1u << 18, 10'000'000u), 50.0)},
+      {.name = "e18_adversary",
+       .spec = scaling_spec(alg1_ignp + horizon + adversary,
+                            size(1u << 15, 1u << 20))},
+  };
+}
+
+/// Wall ms of trial `trial` of `mc` at the given thread count.
+double time_trial(const rh::McSpec& mc, std::uint32_t trial, unsigned threads,
+                  rh::TrialRun& out) {
+  radnet::sim::RunOptions options = mc.run_options;
+  options.threads = threads;
   const double t0 = now_ns();
-  Rng grng(n);
-  const Digraph g =
-      radnet::graph::gnp_directed(n, 8.0 * std::log(n) / n, grng);
-  radnet::sim::Engine engine;
-  radnet::sim::RunOptions options;
-  options.max_rounds = kRounds;
-  const double ns = median_ns_per_round(reps, [&] {
-    LoadProtocol proto(0.1);
-    (void)engine.run(g, proto, Rng(1), options);
-  });
-  return finish_entry({"csr_engine_rounds", n, ns, 0.0, options.threads, 0},
-                      t0);
+  out = rh::run_trial(mc, trial, options);
+  return (now_ns() - t0) / 1e6;
 }
 
-Entry time_implicit_engine(std::uint32_t n, std::uint32_t reps) {
-  const double t0 = now_ns();
-  const double p = 8.0 * std::log(n) / n;
-  radnet::sim::Engine engine;
-  radnet::sim::RunOptions options;
-  options.max_rounds = kRounds;
-  const double ns = median_ns_per_round(reps, [&] {
-    const radnet::sim::ImplicitGnp gnp{n, p, Rng(n)};
-    LoadProtocol proto(0.1);
-    (void)engine.run(gnp, proto, Rng(1), options);
-  });
-  return finish_entry(
-      {"implicit_engine_rounds", n, ns, 0.0, options.threads, 0}, t0);
-}
-
-struct ThreadScaling {
-  std::uint32_t n = 0;
-  double serial_ms = 0.0;
-  double parallel_ms = 0.0;
-  double speedup = 0.0;
-  unsigned pool_threads = 0;
-  bool identical = false;
-};
-
-/// E17's core claim in one tracked number: the same single-trial broadcast
-/// with serial vs all-core round sweeps, bit-identity asserted.
-ThreadScaling time_thread_scaling(std::uint32_t n) {
-  ThreadScaling s;
-  s.n = n;
-  s.pool_threads = radnet::global_pool().size();
-  // The d = 8 ln n regime of E17: completes reliably at finite n, so the
-  // tracked number is a full broadcast rather than a censored budget run.
-  const double p = 8.0 * std::log(n) / n;
-  BroadcastRandomProtocol probe(BroadcastRandomParams{.p = p});
-  probe.reset(n, Rng(0));
-  radnet::sim::Engine engine;
-  radnet::sim::RunOptions options;
-  options.max_rounds = probe.round_budget();
-  const auto run_with = [&](unsigned threads, double* ms) {
-    options.threads = threads;
-    const radnet::sim::ImplicitGnp gnp{n, p, Rng(17)};
-    BroadcastRandomProtocol proto(BroadcastRandomParams{.p = p});
-    const double t0 = now_ns();
-    const auto run = engine.run(gnp, proto, Rng(18), options);
-    *ms = (now_ns() - t0) / 1e6;
-    return run;
-  };
-  const auto serial = run_with(1, &s.serial_ms);
-  const auto parallel = run_with(0, &s.parallel_ms);
-  s.speedup = s.serial_ms / s.parallel_ms;
-  s.identical = serial == parallel;
-  return s;
-}
-
-/// The explicit-CSR counterpart of time_thread_scaling: the same broadcast
-/// trial on a materialised G(n,p), serial vs all-core scatter/gather
-/// delivery, bit-identity asserted. No RNG is involved in CSR delivery, so
-/// a divergence here means a sharding bug, never a reordering.
-ThreadScaling time_csr_thread_scaling(std::uint32_t n) {
-  ThreadScaling s;
-  s.n = n;
-  s.pool_threads = radnet::global_pool().size();
-  const double p = 32.0 / n;  // d = 32: heavy rounds, modest graph memory
-  Rng grng(23);
-  const Digraph g = radnet::graph::gnp_directed(n, p, grng);
-  BroadcastRandomProtocol probe(BroadcastRandomParams{.p = p});
-  probe.reset(n, Rng(0));
-  radnet::sim::Engine engine;
-  radnet::sim::RunOptions options;
-  options.max_rounds = probe.round_budget();
-  const auto run_with = [&](unsigned threads, double* ms) {
-    options.threads = threads;
-    BroadcastRandomProtocol proto(BroadcastRandomParams{.p = p});
-    const double t0 = now_ns();
-    const auto run = engine.run(g, proto, Rng(24), options);
-    *ms = (now_ns() - t0) / 1e6;
-    return run;
-  };
-  const auto serial = run_with(1, &s.serial_ms);
-  const auto parallel = run_with(0, &s.parallel_ms);
-  s.speedup = s.serial_ms / s.parallel_ms;
-  s.identical = serial == parallel;
-  return s;
-}
-
-/// The sharded sketch phases' tracked number: one churned-dynamic gossip
-/// trial (churn = 0.5 routes every delivery through the pair sketch, so
-/// the sender-chunked gather and group-chunked classify phases dominate),
-/// serial vs all-core, bit-identity asserted. Chunk streams are keyed per
-/// (round, chunk), so a divergence means a keying or merge-order bug.
-ThreadScaling time_sketch_thread_scaling(std::uint32_t n) {
-  ThreadScaling s;
-  s.n = n;
-  s.pool_threads = radnet::global_pool().size();
-  const double p = 16.0 / n;
-  radnet::sim::Engine engine;
-  radnet::sim::RunOptions options;
-  options.max_rounds = 64;
-  const auto run_with = [&](unsigned threads, double* ms) {
-    options.threads = threads;
-    radnet::sim::ImplicitDynamicGnp spec;
-    spec.n = n;
-    spec.p = p;
-    spec.churn = 0.5;
-    spec.rng = Rng(51);
-    radnet::core::GossipRumorMarginalProtocol proto(
-        radnet::core::GossipRumorMarginalParams{.p = p});
-    const double t0 = now_ns();
-    const auto run = engine.run(spec, proto, Rng(52), options);
-    *ms = (now_ns() - t0) / 1e6;
-    return run;
-  };
-  const auto serial = run_with(1, &s.serial_ms);
-  const auto parallel = run_with(0, &s.parallel_ms);
-  s.speedup = s.serial_ms / s.parallel_ms;
-  s.identical = serial == parallel;
-  return s;
-}
-
-/// The sharded RGG transmitter bucketing's tracked number: one mobility
-/// gossip trial (the repeated-transmitter regime keeps k large, so the
-/// chunk-sharded counting sort + 3x3 stamp are a steady share of the
-/// round), serial vs all-core, bit-identity asserted. Bucketing draws no
-/// randomness, so a divergence means a cell-merge layout bug.
-ThreadScaling time_rgg_bucketing_thread_scaling(std::uint32_t n) {
-  ThreadScaling s;
-  s.n = n;
-  s.pool_threads = radnet::global_pool().size();
-  const double radius =
-      std::sqrt(16.0 / (3.14159265358979 * static_cast<double>(n)));
-  const double p = 3.14159265358979 * radius * radius;
-  radnet::sim::Engine engine;
-  radnet::sim::RunOptions options;
-  options.max_rounds = 64;
-  const auto run_with = [&](unsigned threads, double* ms) {
-    options.threads = threads;
-    radnet::core::GossipRumorMarginalProtocol proto(
-        radnet::core::GossipRumorMarginalParams{.p = p});
-    const double t0 = now_ns();
-    const auto run = engine.run(
-        radnet::sim::ImplicitRgg{n, radius, radius / 8.0, Rng(53)}, proto,
-        Rng(54), options);
-    *ms = (now_ns() - t0) / 1e6;
-    return run;
-  };
-  const auto serial = run_with(1, &s.serial_ms);
-  const auto parallel = run_with(0, &s.parallel_ms);
-  s.speedup = s.serial_ms / s.parallel_ms;
-  s.identical = serial == parallel;
-  return s;
-}
-
-struct MobilityNumbers {
-  std::uint32_t n = 0;
-  double degree = 0.0;
-  radnet::sim::Round horizon = 0;
-  double serial_ms = 0.0;
-  double parallel_ms = 0.0;
-  double speedup = 0.0;
-  unsigned pool_threads = 0;
-  bool identical = false;
-};
-
-/// E14b's mobility trial in one tracked number: a fixed-horizon
-/// Algorithm-1 broadcast on the graph-free implicit mobility-RGG backend
-/// (mean degree `degree`, step = radius/8), serial vs all-core, with the
-/// bit-identity check between them. Motion draws are counter-keyed per
-/// (round, block) and the cell-grid delivery sweep draws no RNG, so a
-/// divergence here is a sharding bug, never a reordering.
-MobilityNumbers time_rgg_mobility(std::uint32_t n, radnet::sim::Round horizon) {
-  MobilityNumbers m;
-  m.n = n;
-  m.degree = 50.0;
-  m.horizon = horizon;
-  m.pool_threads = radnet::global_pool().size();
-  const double radius = std::sqrt(m.degree / (3.141592653589793 * n));
-  radnet::sim::Engine engine;
-  radnet::sim::RunOptions options;
-  options.max_rounds = horizon;
-  const auto run_with = [&](unsigned threads, double* ms) {
-    options.threads = threads;
-    BroadcastRandomProtocol proto(BroadcastRandomParams{.p = m.degree / n});
-    const double t0 = now_ns();
-    const auto run = engine.run(
-        radnet::sim::ImplicitRgg{n, radius, radius / 8.0, Rng(41)}, proto,
-        Rng(42), options);
-    *ms = (now_ns() - t0) / 1e6;
-    return run;
-  };
-  const auto serial = run_with(1, &m.serial_ms);
-  const auto parallel = run_with(0, &m.parallel_ms);
-  m.speedup = m.serial_ms / m.parallel_ms;
-  m.identical = serial == parallel;
-  return m;
-}
-
-struct AdversaryNumbers {
-  std::uint32_t n = 0;
-  double jammer_fraction = 0.01;
-  double byzantine_fraction = 0.02;
-  double budget_mean = 4.0;
-  radnet::sim::Round horizon = 0;
-  double serial_ms = 0.0;
-  double parallel_ms = 0.0;
-  double speedup = 0.0;
-  unsigned pool_threads = 0;
-  bool identical = false;
-  double stranded_fraction = 0.0;
-};
-
-/// E18's tracked number: one fixed-horizon Algorithm-1 broadcast under the
-/// full adversary stack (jammers, Byzantine relays, listen-only energy
-/// budgets, a crash/recover schedule) on the implicit G(n,p) backend,
-/// serial vs all-core. The identity check covers the whole RunResult —
-/// completion, ledger, trace AND AdversaryStats — so a divergence means
-/// the adversary broke the engine's determinism contract. The stranded
-/// fraction (honest nodes left without a valid copy at the horizon) is the
-/// robustness trajectory's headline.
-AdversaryNumbers time_adversary(std::uint32_t n, radnet::sim::Round horizon) {
-  AdversaryNumbers a;
-  a.n = n;
-  a.horizon = horizon;
-  a.pool_threads = radnet::global_pool().size();
-  const double p = 8.0 * std::log(n) / n;
-  radnet::sim::AdversarySpec adv;
-  adv.jammer_fraction = a.jammer_fraction;
-  adv.byzantine_fraction = a.byzantine_fraction;
-  adv.budget_mean = a.budget_mean;
-  adv.budget_spread = 0.25;
-  adv.fault_schedule = {
-      {8, radnet::sim::FaultEvent::Kind::kCrash, 0.10},
-      {16, radnet::sim::FaultEvent::Kind::kRecover, 1.0}};
-  adv.protected_nodes = {0};
-  radnet::sim::Engine engine;
-  radnet::sim::RunOptions options;
-  options.max_rounds = horizon;
-  options.adversary = adv;
-  const auto run_with = [&](unsigned threads, double* ms) {
-    options.threads = threads;
-    const radnet::sim::ImplicitGnp gnp{n, p, Rng(51)};
-    BroadcastRandomProtocol proto(BroadcastRandomParams{.p = p});
-    const double t0 = now_ns();
-    auto run = engine.run(gnp, proto, Rng(52), options);
-    *ms = (now_ns() - t0) / 1e6;
-    a.stranded_fraction =
-        static_cast<double>(proto.stranded_count().value_or(0)) / n;
-    return run;
-  };
-  const auto serial = run_with(1, &a.serial_ms);
-  const auto parallel = run_with(0, &a.parallel_ms);
-  a.speedup = a.serial_ms / a.parallel_ms;
-  a.identical = serial == parallel;
-  return a;
+/// Times the row's trial at threads = 1 and threads = 0 and compares them.
+void time_scaling(ScalingRow& row) {
+  rh::McSpec mc = row.spec.to_mc_spec();
+  // csr: generate trial 0's graph (stream (seed, 0, 0)) once, so both
+  // clocks time the broadcast rather than graph generation.
+  if (mc.make_graph)
+    mc.make_graph =
+        rh::shared_graph(*mc.make_graph(0, Rng(mc.seed).split(0, 0)));
+  rh::TrialRun serial, parallel;
+  row.serial_ms = time_trial(mc, 0, 1, serial);
+  row.parallel_ms = time_trial(mc, 0, 0, parallel);
+  row.identical = serial.run == parallel.run;
+  if (serial.stranded.has_value())
+    row.stranded_fraction =
+        static_cast<double>(*serial.stranded) / serial.nodes;
+  row.peak_rss_kb = peak_rss_kb();
 }
 
 struct BatchNumbers {
@@ -486,7 +261,6 @@ struct BatchNumbers {
 /// in the result bytes (see tests/harness/batch_test.cpp for the
 /// per-property pins; this is the in-CI end-to-end gate).
 BatchNumbers time_batch(bool quick) {
-  namespace rh = radnet::harness;
   std::vector<rh::BatchSpec> specs;
   const rh::BatchFamily families[] = {
       rh::BatchFamily::kCsr, rh::BatchFamily::kImplicitGnp,
@@ -573,7 +347,6 @@ struct FaultTolNumbers {
 /// anyway, and the forked child must not depend on pool threads that do
 /// not survive fork.
 FaultTolNumbers time_faulttol() {
-  namespace rh = radnet::harness;
   namespace fs = std::filesystem;
   FaultTolNumbers f;
   std::vector<rh::BatchSpec> specs;
@@ -660,7 +433,6 @@ struct FingerprintSink {
   void deliver_bulk(std::uint64_t count) { mix(count * 3 + 1); }
   void collide_bulk(std::uint64_t count) { mix(count * 3 + 2); }
 };
-
 struct SimdSweep {
   double scalar_ns = 0.0;  ///< median ns per sweep, scalar kernels
   double simd_ns = 0.0;    ///< median ns per sweep, SIMD kernels
@@ -678,22 +450,18 @@ struct SimdNumbers {
   bool lanes_identical = false;  ///< bulk lane stream == scalar reference
 };
 
-/// Per-sweep cost of the dense G(n,p) lane classification: k*p ~ 0.8 ln n
-/// puts every block on the vectorised plain path (q well above 0.5).
-SimdSweep time_dense_classify(std::uint32_t n, std::uint32_t reps) {
+/// Median per-sweep cost of one backend's deliver() over kRounds rounds
+/// with a fixed transmitter set, and the fingerprint of every event it
+/// emitted, under scalar and under SIMD dispatch.
+template <class MakeTopology>
+SimdSweep time_sweep(const MakeTopology& make_topology,
+                     const std::vector<NodeId>& tx,
+                     const std::vector<char>& is_tx, std::uint32_t reps) {
   SimdSweep s;
-  const double p = 8.0 * std::log(n) / n;
-  std::vector<NodeId> tx;
-  std::vector<char> is_tx(n, 0);
-  for (NodeId v = 0; v < n / 10; ++v) {
-    tx.push_back(v * 7 % n);
-    is_tx[tx.back()] = 1;
-  }
   const auto run = [&](radnet::simd::Mode mode, double* ns_out,
                        std::uint64_t* fp_out) {
     radnet::simd::set_mode(mode);
-    radnet::sim::ImplicitGnpTopology topo(
-        radnet::sim::ImplicitGnp{n, p, Rng(91)});
+    auto topo = make_topology();
     FingerprintSink sink;
     Sample ns;
     radnet::sim::Round round = 0;  // backends require non-decreasing rounds
@@ -715,13 +483,30 @@ SimdSweep time_dense_classify(std::uint32_t n, std::uint32_t reps) {
   return s;
 }
 
+/// Per-sweep cost of the dense G(n,p) lane classification: k*p ~ 0.8 ln n
+/// puts every block on the vectorised plain path (q well above 0.5).
+SimdSweep time_dense_classify(std::uint32_t n, std::uint32_t reps) {
+  const double p = 8.0 * std::log(n) / n;
+  std::vector<NodeId> tx;
+  std::vector<char> is_tx(n, 0);
+  for (NodeId v = 0; v < n / 10; ++v) {
+    tx.push_back(v * 7 % n);
+    is_tx[tx.back()] = 1;
+  }
+  return time_sweep(
+      [&] {
+        return radnet::sim::ImplicitGnpTopology(
+            radnet::sim::ImplicitGnp{n, p, Rng(91)});
+      },
+      tx, is_tx, reps);
+}
+
 /// Per-sweep cost of the RGG distance-mask scan: mean degree 64 with half
 /// the nodes transmitting keeps every cell populated, so the scan (not the
 /// bucketing) dominates. begin_round's counter-keyed motion sweep is
 /// included — it is mode-independent, so the delta between the rows is
 /// the scan alone.
 SimdSweep time_rgg_distance(std::uint32_t n, std::uint32_t reps) {
-  SimdSweep s;
   const double radius = std::sqrt(64.0 / (3.141592653589793 * n));
   std::vector<NodeId> tx;
   std::vector<char> is_tx(n, 0);
@@ -729,31 +514,14 @@ SimdSweep time_rgg_distance(std::uint32_t n, std::uint32_t reps) {
     tx.push_back(v);
     is_tx[v] = 1;
   }
-  const auto run = [&](radnet::simd::Mode mode, double* ns_out,
-                       std::uint64_t* fp_out) {
-    radnet::simd::set_mode(mode);
-    radnet::sim::ImplicitRggTopology topo(
-        radnet::sim::ImplicitRgg{n, radius, radius / 8.0, Rng(92)});
-    FingerprintSink sink;
-    Sample ns;
-    radnet::sim::Round round = 0;  // backends require non-decreasing rounds
-    for (std::uint32_t rep = 0; rep < reps; ++rep) {
-      const double t0 = now_ns();
-      for (radnet::sim::Round r = 0; r < kRounds; ++r) {
-        topo.begin_round(round++);
-        topo.deliver({tx.data(), tx.size()}, is_tx, /*half_duplex=*/false,
-                     radnet::sim::DeliveryPath::kAuto, std::nullopt,
-                     /*collisions_inert=*/false, sink);
-      }
-      ns.add((now_ns() - t0) / kRounds);
-    }
-    *ns_out = ns.median();
-    *fp_out = sink.hash ^ sink.deliveries ^ (sink.collisions << 1);
-  };
-  run(radnet::simd::Mode::kScalar, &s.scalar_ns, &s.scalar_fp);
-  run(radnet::simd::Mode::kAvx2, &s.simd_ns, &s.simd_fp);
-  return s;
+  return time_sweep(
+      [&] {
+        return radnet::sim::ImplicitRggTopology(
+            radnet::sim::ImplicitRgg{n, radius, radius / 8.0, Rng(92)});
+      },
+      tx, is_tx, reps);
 }
+
 
 /// Byte-compares the lane generator's dispatched bulk stream against its
 /// portable scalar reference — the root of the whole SIMD identity
@@ -796,33 +564,22 @@ struct Comparison {
   double speedup = 0.0;
 };
 
+/// Algorithm 1 at mean degree 16: trial `rep` of one spec on CSR and on
+/// implicit G(n,p), which share their graph streams. The CSR clock
+/// includes the graph build.
 Comparison compare_broadcast(std::uint32_t n, std::uint32_t reps) {
   Comparison c;
   c.n = n;
   c.p = 16.0 / n;
-  BroadcastRandomProtocol probe(BroadcastRandomParams{.p = c.p});
-  probe.reset(n, Rng(0));
-  radnet::sim::RunOptions options;
-  options.max_rounds = probe.round_budget();
-  radnet::sim::Engine engine;
-
+  rh::BatchSpec spec = scaling_spec("protocol=alg1 family=csr", n, 16.0);
+  const rh::McSpec csr = spec.to_mc_spec();
+  spec.family = rh::BatchFamily::kImplicitGnp;
+  const rh::McSpec implicit = spec.to_mc_spec();
   Sample csr_ms, implicit_ms;
+  rh::TrialRun trial;
   for (std::uint32_t rep = 0; rep < reps; ++rep) {
-    {
-      const double t0 = now_ns();
-      Rng grng(rep);
-      const Digraph g = radnet::graph::gnp_directed(n, c.p, grng);
-      BroadcastRandomProtocol proto(BroadcastRandomParams{.p = c.p});
-      (void)engine.run(g, proto, Rng(rep + 1), options);
-      csr_ms.add((now_ns() - t0) / 1e6);
-    }
-    {
-      const double t0 = now_ns();
-      const radnet::sim::ImplicitGnp gnp{n, c.p, Rng(rep)};
-      BroadcastRandomProtocol proto(BroadcastRandomParams{.p = c.p});
-      (void)engine.run(gnp, proto, Rng(rep + 1), options);
-      implicit_ms.add((now_ns() - t0) / 1e6);
-    }
+    csr_ms.add(time_trial(csr, rep, 1, trial));
+    implicit_ms.add(time_trial(implicit, rep, 1, trial));
   }
   c.csr_ms = csr_ms.median();
   c.implicit_ms = implicit_ms.median();
@@ -838,32 +595,21 @@ struct DynamicNumbers {
 };
 
 /// One E16-style churned-gossip trial per rep on the implicit dynamic
-/// backend; medians across reps.
+/// backend at mean degree 16; medians across reps.
 DynamicNumbers time_dynamic_gossip(std::uint32_t n, std::uint32_t reps) {
   DynamicNumbers d;
   d.n = n;
-  const double p = 16.0 / n;
-  radnet::core::GossipRumorMarginalProtocol probe(
-      radnet::core::GossipRumorMarginalParams{.p = p});
-  probe.reset(n, Rng(0));
-  radnet::sim::RunOptions options;
-  options.max_rounds = probe.round_budget();
-  radnet::sim::Engine engine;
+  const rh::McSpec mc =
+      scaling_spec("protocol=alg2m family=idgnp churn=0.5", n, 16.0)
+          .to_mc_spec();
   Sample ms, rounds;
+  rh::TrialRun trial;
   for (std::uint32_t rep = 0; rep < reps; ++rep) {
-    const double t0 = now_ns();
-    radnet::sim::ImplicitDynamicGnp spec;
-    spec.n = n;
-    spec.p = p;
-    spec.churn = d.churn;
-    spec.rng = Rng(rep + 1);
-    radnet::core::GossipRumorMarginalProtocol proto(
-        radnet::core::GossipRumorMarginalParams{.p = p});
-    const auto run = engine.run(spec, proto, Rng(rep + 100), options);
-    ms.add((now_ns() - t0) / 1e6);
+    ms.add(time_trial(mc, rep, 1, trial));
     // completion_round is only meaningful for completed runs; a failed rep
     // must not push a 0 into the tracked median.
-    if (run.completed) rounds.add(static_cast<double>(run.completion_round));
+    if (trial.run.completed)
+      rounds.add(static_cast<double>(trial.run.completion_round));
   }
   d.trial_ms = ms.median();
   d.rounds = rounds.empty() ? 0.0 : rounds.median();
@@ -871,7 +617,6 @@ DynamicNumbers time_dynamic_gossip(std::uint32_t n, std::uint32_t reps) {
 }
 
 }  // namespace
-
 int main(int argc, char** argv) {
   radnet::CliArgs args = [&] {
     try {
@@ -887,6 +632,7 @@ int main(int argc, char** argv) {
   // CPUID) — recorded in the host block; every entry below except the
   // explicit scalar-vs-SIMD rows runs under it.
   const radnet::simd::Mode host_mode = radnet::simd::active_mode();
+  const unsigned pool_threads = radnet::global_pool().size();
 
   const std::vector<std::uint32_t> sizes =
       quick ? std::vector<std::uint32_t>{1u << 10, 1u << 12}
@@ -897,8 +643,13 @@ int main(int argc, char** argv) {
 
   std::vector<Entry> entries;
   for (const std::uint32_t n : sizes) {
-    entries.push_back(time_csr_engine(n, reps));
-    entries.push_back(time_implicit_engine(n, reps));
+    const double p = 8.0 * std::log(n) / n;
+    Rng grng(n);
+    const double t0 = now_ns();
+    entries.push_back(time_engine("csr_engine_rounds", n, reps, t0,
+                                  radnet::graph::gnp_directed(n, p, grng)));
+    entries.push_back(time_engine("implicit_engine_rounds", n, reps, now_ns(),
+                                  radnet::sim::ImplicitGnp{n, p, Rng(n)}));
     std::cout << entries[entries.size() - 2].name << " n=" << n << ": "
               << entries[entries.size() - 2].ns_per_round << " ns/round\n"
               << entries.back().name << " n=" << n << ": "
@@ -916,76 +667,27 @@ int main(int argc, char** argv) {
             << ": " << dyn.trial_ms << " ms/trial, " << dyn.rounds
             << " rounds\n";
 
-  const ThreadScaling ts =
-      time_thread_scaling(quick ? (1u << 18) : (1u << 22));
-  std::cout << "thread scaling (E17) n=" << ts.n << ": serial "
-            << ts.serial_ms << " ms, " << ts.pool_threads << "-thread "
-            << ts.parallel_ms << " ms, speedup " << ts.speedup << "x, "
-            << (ts.identical ? "bit-identical" : "DIVERGED") << "\n";
-  if (!ts.identical) {
-    std::cerr << "thread-scaling runs diverged — determinism bug\n";
-    return 1;
-  }
+  struct Gate {
+    std::string name;
+    bool ok;
+    std::string message;
+  };
+  std::vector<Gate> gates;
 
-  const ThreadScaling cts =
-      time_csr_thread_scaling(quick ? (1u << 15) : (1u << 19));
-  std::cout << "CSR thread scaling n=" << cts.n << ": serial "
-            << cts.serial_ms << " ms, " << cts.pool_threads << "-thread "
-            << cts.parallel_ms << " ms, speedup " << cts.speedup << "x, "
-            << (cts.identical ? "bit-identical" : "DIVERGED") << "\n";
-  if (!cts.identical) {
-    std::cerr << "CSR serial-vs-parallel runs diverged — sharding bug\n";
-    return 1;
-  }
-
-  const ThreadScaling sts =
-      time_sketch_thread_scaling(quick ? (1u << 14) : (1u << 20));
-  std::cout << "sketch-phase thread scaling n=" << sts.n << ": serial "
-            << sts.serial_ms << " ms, " << sts.pool_threads << "-thread "
-            << sts.parallel_ms << " ms, speedup " << sts.speedup << "x, "
-            << (sts.identical ? "bit-identical" : "DIVERGED") << "\n";
-  if (!sts.identical) {
-    std::cerr << "sketch-phase serial-vs-parallel runs diverged — chunk "
-                 "keying or merge-order bug\n";
-    return 1;
-  }
-
-  const ThreadScaling bts =
-      time_rgg_bucketing_thread_scaling(quick ? (1u << 14) : (1u << 20));
-  std::cout << "RGG bucketing thread scaling n=" << bts.n << ": serial "
-            << bts.serial_ms << " ms, " << bts.pool_threads << "-thread "
-            << bts.parallel_ms << " ms, speedup " << bts.speedup << "x, "
-            << (bts.identical ? "bit-identical" : "DIVERGED") << "\n";
-  if (!bts.identical) {
-    std::cerr << "RGG bucketing serial-vs-parallel runs diverged — "
-                 "cell-merge layout bug\n";
-    return 1;
-  }
-
-  const MobilityNumbers mob =
-      time_rgg_mobility(quick ? (1u << 18) : 10'000'000u, quick ? 32u : 64u);
-  std::cout << "mobility RGG (E14b) n=" << mob.n << " horizon=" << mob.horizon
-            << ": serial " << mob.serial_ms << " ms, " << mob.pool_threads
-            << "-thread " << mob.parallel_ms << " ms, speedup " << mob.speedup
-            << "x, " << (mob.identical ? "bit-identical" : "DIVERGED") << "\n";
-  if (!mob.identical) {
-    std::cerr << "mobility-RGG serial-vs-parallel runs diverged — "
-                 "sharding bug\n";
-    return 1;
-  }
-
-  const AdversaryNumbers e18 =
-      time_adversary(quick ? (1u << 15) : (1u << 20), quick ? 32u : 64u);
-  std::cout << "adversarial broadcast (E18) n=" << e18.n << " jam="
-            << e18.jammer_fraction << " byz=" << e18.byzantine_fraction
-            << ": serial " << e18.serial_ms << " ms, " << e18.pool_threads
-            << "-thread " << e18.parallel_ms << " ms, speedup " << e18.speedup
-            << "x, stranded " << e18.stranded_fraction << ", "
-            << (e18.identical ? "bit-identical" : "DIVERGED") << "\n";
-  if (!e18.identical) {
-    std::cerr << "adversarial serial-vs-parallel runs diverged — the "
-                 "adversary broke engine determinism\n";
-    return 1;
+  std::vector<ScalingRow> scaling = scaling_rows(quick);
+  for (ScalingRow& row : scaling) {
+    time_scaling(row);
+    std::cout << row.name << " (" << row.spec.protocol << " on "
+              << rh::batch_family_name(row.spec.family) << ") n="
+              << row.spec.n << ": serial " << row.serial_ms << " ms, "
+              << pool_threads << "-thread " << row.parallel_ms
+              << " ms, speedup " << row.serial_ms / row.parallel_ms << "x, ";
+    if (row.stranded_fraction.has_value())
+      std::cout << "stranded " << *row.stranded_fraction << ", ";
+    std::cout << (row.identical ? "bit-identical" : "DIVERGED") << "\n";
+    gates.push_back({row.name, row.identical,
+                     "serial and all-core runs of trial 0 diverged — "
+                     "determinism bug"});
   }
 
   const BatchNumbers e19 = time_batch(quick);
@@ -998,16 +700,12 @@ int main(int argc, char** argv) {
                     ? "bit-identical"
                     : "DIVERGED")
             << "\n";
-  if (!e19.threads_identical) {
-    std::cerr << "batch serial-vs-parallel streams diverged — the grant "
-                 "schedule leaked thread count into the results\n";
-    return 1;
-  }
-  if (!e19.cached_identical) {
-    std::cerr << "batch cached result diverged from the cold run for the "
-                 "same spec hash — cache replay broke byte-identity\n";
-    return 1;
-  }
+  gates.push_back({"e19_threads", e19.threads_identical,
+                   "batch serial-vs-parallel streams diverged — the grant "
+                   "schedule leaked thread count into the results"});
+  gates.push_back({"e19_cached", e19.cached_identical,
+                   "batch cached result diverged from the cold run for the "
+                   "same spec hash — cache replay broke byte-identity"});
 
   const FaultTolNumbers e20 = time_faulttol();
   std::cout << "crash-safe sweep (E20) " << e20.specs << " specs: child "
@@ -1019,50 +717,36 @@ int main(int argc, char** argv) {
             << (e20.partial_prefix && e20.resumed_identical ? "byte-identical"
                                                             : "DIVERGED")
             << "\n";
-  if (!e20.kill_confirmed) {
-    std::cerr << "fault-tolerance gate: the injected SIGKILL never fired — "
-                 "the grant-boundary fault hook is dead\n";
-    return 1;
-  }
-  if (!e20.partial_prefix) {
-    std::cerr << "fault-tolerance gate: the torn partial output is not a "
-                 "byte-prefix of the uninterrupted stream\n";
-    return 1;
-  }
-  if (!e20.resumed_identical) {
-    std::cerr << "fault-tolerance gate: the resumed stream differs from the "
-                 "uninterrupted run — resume(interrupt(run)) != run\n";
-    return 1;
-  }
+  gates.push_back({"e20_kill", e20.kill_confirmed,
+                   "the injected SIGKILL never fired — the grant-boundary "
+                   "fault hook is dead"});
+  gates.push_back({"e20_prefix", e20.partial_prefix,
+                   "the torn partial output is not a byte-prefix of the "
+                   "uninterrupted stream"});
+  gates.push_back({"e20_resume", e20.resumed_identical,
+                   "the resumed stream differs from the uninterrupted run — "
+                   "resume(interrupt(run)) != run"});
 
   const SimdNumbers e13 = time_simd_sweeps(quick);
   radnet::simd::set_mode(host_mode);
+  const bool e13_identical =
+      e13.dense.identical() && e13.rgg.identical() && e13.lanes_identical;
   std::cout << "SIMD sweeps (E13) dense n=" << e13.dense_n << ": scalar "
             << e13.dense.scalar_ns << " ns/sweep, simd " << e13.dense.simd_ns
             << " ns/sweep, speedup " << e13.dense.speedup()
             << "x; rgg n=" << e13.rgg_n << ": scalar " << e13.rgg.scalar_ns
             << " ns/sweep, simd " << e13.rgg.simd_ns << " ns/sweep, speedup "
             << e13.rgg.speedup() << "x, "
-            << (e13.dense.identical() && e13.rgg.identical() &&
-                        e13.lanes_identical
-                    ? "bit-identical"
-                    : "DIVERGED")
-            << "\n";
-  if (!e13.lanes_identical) {
-    std::cerr << "SIMD gate: the dispatched lane-RNG stream diverged from "
-                 "its scalar reference\n";
-    return 1;
-  }
-  if (!e13.dense.identical()) {
-    std::cerr << "SIMD gate: dense classification events diverged between "
-                 "scalar and SIMD dispatch\n";
-    return 1;
-  }
-  if (!e13.rgg.identical()) {
-    std::cerr << "SIMD gate: RGG distance-scan events diverged between "
-                 "scalar and SIMD dispatch\n";
-    return 1;
-  }
+            << (e13_identical ? "bit-identical" : "DIVERGED") << "\n";
+  gates.push_back({"e13_lanes", e13.lanes_identical,
+                   "the dispatched lane-RNG stream diverged from its scalar "
+                   "reference"});
+  gates.push_back({"e13_dense", e13.dense.identical(),
+                   "dense classification events diverged between scalar and "
+                   "SIMD dispatch"});
+  gates.push_back({"e13_rgg", e13.rgg.identical(),
+                   "RGG distance-scan events diverged between scalar and "
+                   "SIMD dispatch"});
   entries.push_back(
       {"dense_classify_sweep_scalar", e13.dense_n, e13.dense.scalar_ns, 0.0,
        1, peak_rss_kb()});
@@ -1078,13 +762,13 @@ int main(int argc, char** argv) {
     std::cerr << "cannot write " << out_path << '\n';
     return 1;
   }
-  out << "{\n  \"schema\": \"radnet-bench-engine-v9\",\n  \"host\": {"
+  const auto flag = [](bool b) { return b ? "true" : "false"; };
+  out << "{\n  \"schema\": \"radnet-bench-engine-v10\",\n  \"host\": {"
       << "\"hardware_concurrency\": "
       << std::max(1u, std::thread::hardware_concurrency())
-      << ", \"pool_threads\": " << radnet::global_pool().size()
+      << ", \"pool_threads\": " << pool_threads
       << ", \"simd\": \"" << radnet::simd::mode_name(host_mode)
-      << "\", \"cpu_avx2\": "
-      << (radnet::simd::cpu_has_avx2() ? "true" : "false") << "},\n"
+      << "\", \"cpu_avx2\": " << flag(radnet::simd::cpu_has_avx2()) << "},\n"
       << "  \"benchmarks\": [\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     out << "    {\"name\": \"" << entries[i].name << "\", \"n\": "
@@ -1102,63 +786,36 @@ int main(int argc, char** argv) {
       << "  \"dynamic\": {\"n\": " << dyn.n << ", \"churn\": " << dyn.churn
       << ", \"trial_ms\": " << dyn.trial_ms
       << ", \"rounds\": " << dyn.rounds << "},\n"
-      << "  \"thread_scaling\": {\"n\": " << ts.n
-      << ", \"serial_ms\": " << ts.serial_ms
-      << ", \"parallel_ms\": " << ts.parallel_ms
-      << ", \"speedup\": " << ts.speedup
-      << ", \"pool_threads\": " << ts.pool_threads << ", \"identical\": "
-      << (ts.identical ? "true" : "false") << "},\n"
-      << "  \"csr_thread_scaling\": {\"n\": " << cts.n
-      << ", \"serial_ms\": " << cts.serial_ms
-      << ", \"parallel_ms\": " << cts.parallel_ms
-      << ", \"speedup\": " << cts.speedup
-      << ", \"pool_threads\": " << cts.pool_threads << ", \"identical\": "
-      << (cts.identical ? "true" : "false") << "},\n"
-      << "  \"sketch_thread_scaling\": {\"n\": " << sts.n
-      << ", \"serial_ms\": " << sts.serial_ms
-      << ", \"parallel_ms\": " << sts.parallel_ms
-      << ", \"speedup\": " << sts.speedup
-      << ", \"pool_threads\": " << sts.pool_threads << ", \"identical\": "
-      << (sts.identical ? "true" : "false") << "},\n"
-      << "  \"rgg_bucketing_thread_scaling\": {\"n\": " << bts.n
-      << ", \"serial_ms\": " << bts.serial_ms
-      << ", \"parallel_ms\": " << bts.parallel_ms
-      << ", \"speedup\": " << bts.speedup
-      << ", \"pool_threads\": " << bts.pool_threads << ", \"identical\": "
-      << (bts.identical ? "true" : "false") << "},\n"
-      << "  \"e14b_mobility\": {\"n\": " << mob.n
-      << ", \"degree\": " << mob.degree << ", \"horizon\": " << mob.horizon
-      << ", \"serial_ms\": " << mob.serial_ms
-      << ", \"parallel_ms\": " << mob.parallel_ms
-      << ", \"speedup\": " << mob.speedup
-      << ", \"pool_threads\": " << mob.pool_threads << ", \"identical\": "
-      << (mob.identical ? "true" : "false")
-      << ", \"peak_rss_kb\": " << peak_rss_kb() << "},\n"
-      << "  \"e18_adversary\": {\"n\": " << e18.n
-      << ", \"jammer_fraction\": " << e18.jammer_fraction
-      << ", \"byzantine_fraction\": " << e18.byzantine_fraction
-      << ", \"budget_mean\": " << e18.budget_mean
-      << ", \"horizon\": " << e18.horizon
-      << ", \"serial_ms\": " << e18.serial_ms
-      << ", \"parallel_ms\": " << e18.parallel_ms
-      << ", \"speedup\": " << e18.speedup
-      << ", \"pool_threads\": " << e18.pool_threads << ", \"identical\": "
-      << (e18.identical ? "true" : "false")
-      << ", \"stranded_fraction\": " << e18.stranded_fraction << "},\n"
-      << "  \"e19_batch\": {\"specs\": " << e19.specs
+      << "  \"thread_scaling\": [\n";
+  for (std::size_t i = 0; i < scaling.size(); ++i) {
+    const ScalingRow& row = scaling[i];
+    out << "    {\"name\": \"" << row.name << "\", \"protocol\": \""
+        << row.spec.protocol << "\", \"family\": \""
+        << rh::batch_family_name(row.spec.family) << "\", \"n\": "
+        << row.spec.n
+        << ", \"max_rounds\": " << row.spec.resolved_max_rounds()
+        << ", \"serial_ms\": " << row.serial_ms
+        << ", \"parallel_ms\": " << row.parallel_ms
+        << ", \"speedup\": " << row.serial_ms / row.parallel_ms
+        << ", \"pool_threads\": " << pool_threads
+        << ", \"identical\": " << flag(row.identical)
+        << ", \"peak_rss_kb\": " << row.peak_rss_kb;
+    if (row.stranded_fraction.has_value())
+      out << ", \"stranded_fraction\": " << *row.stranded_fraction;
+    out << (i + 1 < scaling.size() ? "},\n" : "}\n");
+  }
+  out << "  ],\n  \"e19_batch\": {\"specs\": " << e19.specs
       << ", \"trials_run\": " << e19.trials_run
       << ", \"trials_saved\": " << e19.trials_saved
       << ", \"serial_ms\": " << e19.serial_ms
       << ", \"parallel_ms\": " << e19.parallel_ms
-      << ", \"warm_ms\": " << e19.warm_ms << ", \"threads_identical\": "
-      << (e19.threads_identical ? "true" : "false")
-      << ", \"cached_identical\": "
-      << (e19.cached_identical ? "true" : "false") << "},\n"
+      << ", \"warm_ms\": " << e19.warm_ms
+      << ", \"threads_identical\": " << flag(e19.threads_identical)
+      << ", \"cached_identical\": " << flag(e19.cached_identical) << "},\n"
       << "  \"e20_faulttol\": {\"specs\": " << e20.specs
-      << ", \"kill_confirmed\": " << (e20.kill_confirmed ? "true" : "false")
-      << ", \"partial_prefix\": " << (e20.partial_prefix ? "true" : "false")
-      << ", \"resumed_identical\": "
-      << (e20.resumed_identical ? "true" : "false")
+      << ", \"kill_confirmed\": " << flag(e20.kill_confirmed)
+      << ", \"partial_prefix\": " << flag(e20.partial_prefix)
+      << ", \"resumed_identical\": " << flag(e20.resumed_identical)
       << ", \"journal_trials\": " << e20.journal_trials
       << ", \"journal_results\": " << e20.journal_results
       << ", \"baseline_ms\": " << e20.baseline_ms
@@ -1171,11 +828,15 @@ int main(int argc, char** argv) {
       << ", \"rgg_scalar_ns\": " << e13.rgg.scalar_ns
       << ", \"rgg_simd_ns\": " << e13.rgg.simd_ns
       << ", \"rgg_speedup\": " << e13.rgg.speedup()
-      << ", \"identical\": "
-      << (e13.dense.identical() && e13.rgg.identical() && e13.lanes_identical
-              ? "true"
-              : "false")
-      << "}\n}\n";
+      << ", \"identical\": " << flag(e13_identical) << "}\n}\n";
+  out.close();
   std::cout << "wrote " << out_path << '\n';
-  return 0;
+
+  int failed = 0;
+  for (const Gate& gate : gates)
+    if (!gate.ok) {
+      std::cerr << "gate " << gate.name << " FAILED: " << gate.message << '\n';
+      ++failed;
+    }
+  return failed == 0 ? 0 : 1;
 }

@@ -25,7 +25,7 @@
 //             movement as a fraction of the radius)
 //
 // Common flags: --n --trials --seed --max-rounds --source --quiescence
-// Topology flags: --p | --delta (p = delta ln n / n), --radius-mult,
+// Topology flags: --p | --delta (p = min(1, delta ln n / n)), --radius-mult,
 //                 --cluster-size, --diameter (thm44; also overrides the
 //                 measured D used by alg3/cr), --q (fixed), --lambda (alg3),
 //                 --churn, --fail-prob, --p-amp, --p-period (idgnp/churn),
@@ -174,8 +174,8 @@ int main(int argc, char** argv) {
     const auto n = static_cast<graph::NodeId>(args.get_u64("n", 1024));
     const double p = args.has("p")
                          ? args.get_double("p", 0.0)
-                         : args.get_double("delta", 8.0) *
-                               std::log(static_cast<double>(n)) / n;
+                         : delta_link_probability(
+                               n, args.get_double("delta", 8.0));
     const std::uint32_t trials =
         static_cast<std::uint32_t>(args.get_u64("trials", 8));
     const std::uint64_t seed = args.get_u64("seed", 0x5eed);
