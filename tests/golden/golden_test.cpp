@@ -14,7 +14,10 @@
 // idgnp at churn 0.5, irgg} x {1, 4 threads}. Each scenario is a batch
 // spec line (harness/batch.hpp) run as its trial 0 — the same streams
 // run_monte_carlo uses — with no trace, so the 4-thread runs exercise the
-// sharded sweeps and their bulk-count paths.
+// sharded sweeps and their bulk-count paths. Four more rows run alg2m and
+// flooding on idgnp with a 2^14-entry pair sketch, small enough to fill:
+// they pin the stale sweep and the inserts dropped at capacity, which the
+// default-capacity idgnp rows never reach.
 //
 // Regenerate after an intentional change:
 //   ./build/golden_golden_test --bless
@@ -45,6 +48,7 @@ struct Scenario {
   std::string name;  ///< "<protocol>/<family>/t<threads>"
   std::string spec;  ///< batch spec line
   unsigned threads;
+  std::uint32_t sketch_capacity = 0;  ///< 0 keeps the spec's default
 };
 
 std::vector<Scenario> scenarios() {
@@ -70,6 +74,14 @@ std::vector<Scenario> scenarios() {
                        std::string("protocol=") + protocol + " " +
                            family.spec + " seed=11 max-rounds=96",
                        threads});
+  for (const char* protocol : {"alg2m", "flooding"})
+    for (const unsigned threads : {1u, 4u})
+      out.push_back({std::string(protocol) + "/idgnp-full/t" +
+                         std::to_string(threads),
+                     std::string("protocol=") + protocol +
+                         " family=idgnp n=131072 churn=0.5 seed=11"
+                         " max-rounds=96",
+                     threads, 1u << 14});
   return out;
 }
 
@@ -105,7 +117,9 @@ std::uint64_t fingerprint(const sim::RunResult& r) {
 /// Trial 0 of the spec at an explicit thread count — the same trial
 /// run_monte_carlo builds.
 sim::RunResult run_trial0(const Scenario& s) {
-  const harness::McSpec mc = harness::parse_batch_spec(s.spec).to_mc_spec();
+  harness::McSpec mc = harness::parse_batch_spec(s.spec).to_mc_spec();
+  if (s.sketch_capacity != 0)
+    mc.implicit_dynamic->sketch_capacity = s.sketch_capacity;
   sim::RunOptions options = mc.run_options;
   options.threads = s.threads;
   return harness::run_trial(mc, 0, options).run;
