@@ -35,8 +35,8 @@
 // counter-keyed listener blocks of the shared sampler, and the sketch
 // phases shard too, under the per-chunk merge contract of sim/sharding.hpp:
 // gather decomposes per fixed-width *sender* chunk (distinct senders own
-// disjoint sketch chains, so chunk walks are race-free; frees and head
-// erasures are deferred to a serial commit in chunk order), classify per
+// disjoint sketch chains and head slots, so chunk walks are race-free; frees
+// are deferred to a serial commit in chunk order), classify per
 // pinned-listener-*group* chunk (groups are independent given the gathered
 // pinned set; sketch insertions and pinned events are buffered per chunk
 // and replayed serially in ascending chunk = listener order). Every draw
@@ -52,7 +52,6 @@
 #include <functional>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/backends/implicit.hpp"
@@ -65,7 +64,9 @@ namespace radnet::sim {
 
 /// Parameters of the implicit *dynamic* G(n,p) family: per-round link churn
 /// with persistence, permanent node failures, and density schedules p(t).
-/// The graph is never materialised; memory is O(sketch_capacity) at worst.
+/// The graph is never materialised; at churn < 1 the pair sketch costs
+/// n · 8 B of per-sender heads (allocated on its first entry) plus
+/// sketch_capacity · 12 B at worst.
 /// See the file comment for which regimes are exact vs modelled.
 struct ImplicitDynamicGnp {
   NodeId n = 0;
@@ -112,16 +113,19 @@ namespace detail {
 
 /// Bounded store of individually resolved *present* ordered pairs, indexed
 /// by sender so a round touches exactly the entries whose sender transmits.
-/// Entries live in a pooled free-list (12 B each); when the pool is full,
-/// new resolutions are dropped (the modelled fallback) until stale entries
-/// are recycled.
+/// Entries live in a pooled free-list (12 B each) behind dense per-sender
+/// chain heads and oldest-round bounds (8 B per sender, allocated on the
+/// first insert); when the pool is full, new resolutions are dropped (the
+/// modelled fallback) until stale entries are recycled.
 class PairSketch {
  public:
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
-  void reset(std::size_t capacity) {
+  void reset(NodeId senders, std::size_t capacity) {
     pool_.clear();
     heads_.clear();
+    oldest_.clear();
+    senders_ = senders;
     free_head_ = kNil;
     size_ = 0;
     capacity_ = capacity;
@@ -131,6 +135,10 @@ class PairSketch {
 
   void insert(NodeId sender, NodeId listener, std::uint32_t round) {
     if (size_ >= capacity_) return;  // full: forget (modelled fallback)
+    if (heads_.empty()) {
+      heads_.assign(senders_, kNil);
+      oldest_.resize(senders_);
+    }
     std::uint32_t idx;
     if (free_head_ != kNil) {
       idx = free_head_;
@@ -139,104 +147,52 @@ class PairSketch {
       idx = static_cast<std::uint32_t>(pool_.size());
       pool_.push_back({});
     }
-    auto [it, fresh] = heads_.try_emplace(sender, idx);
     Entry& e = pool_[idx];
     e.listener = listener;
     e.round = round;
-    if (fresh) {
-      e.next = kNil;
-    } else {
-      e.next = it->second;
-      it->second = idx;
-    }
+    e.next = heads_[sender];
+    // Inserts carry the current round, so a chain's first entry bounds
+    // every later one from below.
+    if (e.next == kNil) oldest_[sender] = round;
+    heads_[sender] = idx;
     ++size_;
   }
 
   /// Walks sender's entries in insertion order (most recent first), calling
   /// f(listener, round&); f returns whether to keep the entry (it may
-  /// update the round in place). Erased entries go back to the free list.
+  /// update the round in place). Unlinked entry indices append to `freed`
+  /// instead of the free list, for commit_deferred(). Only sender's chain
+  /// and head / oldest-round slots are written, so concurrent calls for
+  /// distinct senders are race-free.
   template <class F>
-  void visit(NodeId sender, F&& f) {
-    const auto it = heads_.find(sender);
-    if (it == heads_.end()) return;
-    std::uint32_t* link = &it->second;
-    while (*link != kNil) {
-      Entry& e = pool_[*link];
-      if (f(e.listener, e.round)) {
-        link = &e.next;
-      } else {
-        const std::uint32_t idx = *link;
-        *link = e.next;
-        e.next = free_head_;
-        free_head_ = idx;
-        --size_;
-      }
-    }
-    if (it->second == kNil) heads_.erase(it);
-  }
-
-  /// The parallel-phase variant of visit(): walks and mutates sender's
-  /// chain exactly like visit(), but *defers* every shared-state effect —
-  /// unlinked entry indices append to `freed` instead of the free list, and
-  /// an emptied head is left in place (value kNil) with the sender noted in
-  /// `emptied` for the caller to erase later. Distinct senders own disjoint
-  /// chains and distinct map slots, and the map's bucket structure is never
-  /// modified here, so concurrent calls for distinct senders are race-free.
-  template <class F>
-  void visit_deferred(NodeId sender, F&& f, std::vector<std::uint32_t>& freed,
-                      std::vector<NodeId>& emptied) {
-    const auto it = heads_.find(sender);
-    if (it == heads_.end()) return;
-    std::uint32_t* link = &it->second;
-    while (*link != kNil) {
-      Entry& e = pool_[*link];
-      if (f(e.listener, e.round)) {
-        link = &e.next;
-      } else {
-        const std::uint32_t idx = *link;
-        *link = e.next;
-        freed.push_back(idx);
-      }
-    }
-    if (it->second == kNil) emptied.push_back(sender);
+  void visit_deferred(NodeId sender, F&& f,
+                      std::vector<std::uint32_t>& freed) {
+    if (heads_.empty() || heads_[sender] == kNil) return;
+    oldest_[sender] = filter_chain(
+        sender, [&](Entry& e) { return f(e.listener, e.round); },
+        [&](std::uint32_t idx) { freed.push_back(idx); });
   }
 
   /// Serial completion of a batch of visit_deferred() calls: returns the
-  /// unlinked entries to the free list in the order given and erases the
-  /// emptied heads. Calling per chunk in ascending chunk order keeps the
-  /// free-list (and therefore future slot reuse) deterministic — free-list
-  /// order is never observable in output, but determinism keeps the pool
-  /// layout reproducible for debugging.
-  void commit_deferred(std::span<const std::uint32_t> freed,
-                       std::span<const NodeId> emptied) {
-    for (const std::uint32_t idx : freed) {
-      pool_[idx].next = free_head_;
-      free_head_ = idx;
-      --size_;
-    }
-    for (const NodeId sender : emptied) heads_.erase(sender);
+  /// unlinked entries to the free list in the order given. Calling per
+  /// chunk in ascending chunk order keeps the free-list (and therefore
+  /// future slot reuse) deterministic — free-list order is never observable
+  /// in output, but determinism keeps the pool layout reproducible for
+  /// debugging.
+  void commit_deferred(std::span<const std::uint32_t> freed) {
+    for (const std::uint32_t idx : freed) release(idx);
   }
 
   /// Drops every entry older than `horizon` rounds — reclaims the slots of
-  /// senders that stopped transmitting. Only the *set* of dropped entries
-  /// is observable (free-list order never is), so iterating the unordered
-  /// map here cannot perturb reproducibility.
+  /// senders that stopped transmitting. A linear scan of the oldest-round
+  /// bounds finds the chains holding a stale entry; only those are walked.
   void drop_stale(std::uint32_t round, std::uint64_t horizon) {
-    for (auto it = heads_.begin(); it != heads_.end();) {
-      std::uint32_t* link = &it->second;
-      while (*link != kNil) {
-        Entry& e = pool_[*link];
-        if (round - e.round > horizon) {
-          const std::uint32_t idx = *link;
-          *link = e.next;
-          e.next = free_head_;
-          free_head_ = idx;
-          --size_;
-        } else {
-          link = &e.next;
-        }
-      }
-      it = it->second == kNil ? heads_.erase(it) : std::next(it);
+    for (std::size_t s = 0; s < heads_.size(); ++s) {
+      if (heads_[s] == kNil || round - oldest_[s] <= horizon) continue;
+      oldest_[s] = filter_chain(
+          static_cast<NodeId>(s),
+          [&](const Entry& e) { return round - e.round <= horizon; },
+          [&](std::uint32_t idx) { release(idx); });
     }
   }
 
@@ -247,8 +203,36 @@ class PairSketch {
     std::uint32_t next = kNil;
   };
 
+  /// Unlinks the entries of sender's chain that `keep` rejects, handing
+  /// each unlinked index to `unlink`; returns the oldest round kept (kNil
+  /// when the chain empties), the sender's new oldest-round bound.
+  template <class Keep, class Unlink>
+  std::uint32_t filter_chain(NodeId sender, Keep&& keep, Unlink&& unlink) {
+    std::uint32_t oldest = kNil;
+    for (std::uint32_t* link = &heads_[sender]; *link != kNil;) {
+      Entry& e = pool_[*link];
+      if (keep(e)) {
+        oldest = std::min(oldest, e.round);
+        link = &e.next;
+      } else {
+        const std::uint32_t idx = *link;
+        *link = e.next;
+        unlink(idx);
+      }
+    }
+    return oldest;
+  }
+
+  void release(std::uint32_t idx) {
+    pool_[idx].next = free_head_;
+    free_head_ = idx;
+    --size_;
+  }
+
   std::vector<Entry> pool_;
-  std::unordered_map<NodeId, std::uint32_t> heads_;
+  std::vector<std::uint32_t> heads_;   ///< per-sender chain head, kNil = empty
+  std::vector<std::uint32_t> oldest_;  ///< per-sender min round in the chain
+  NodeId senders_ = 0;
   std::uint32_t free_head_ = kNil;
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;
@@ -286,7 +270,7 @@ class ImplicitDynamicGnpTopology {
       // a fresh Bernoulli(p), so the entry can be recycled.
       horizon_ = static_cast<std::uint64_t>(
           std::ceil(std::log(1e-12) / log1m_churn_));
-      sketch_.reset(spec.sketch_capacity);
+      sketch_.reset(spec.n, spec.sketch_capacity);
       // Start reclaiming stale entries once the pool is three-quarters
       // full (never at zero capacity).
       sketch_watermark_ =
@@ -438,7 +422,6 @@ class ImplicitDynamicGnpTopology {
   struct SketchShard {
     std::vector<PinnedTouch> pinned;   ///< gather: touches in walk order
     std::vector<std::uint32_t> freed;  ///< gather: deferred free-list pushes
-    std::vector<NodeId> emptied;       ///< gather: deferred head erasures
     std::vector<PinnedEvent> events;   ///< classify: events in group order
     std::vector<std::pair<NodeId, NodeId>> records;  ///< classify: (sender, listener)
     std::uint64_t nontx = 0;  ///< classify: non-transmitting pinned groups
@@ -510,9 +493,9 @@ class ImplicitDynamicGnpTopology {
   /// transmitting under half-duplex) are left untouched: their state is
   /// unobservable, so it just keeps ageing. Chunk c draws from
   /// churn_key.fork(round).fork(c); chunk walks touch disjoint sketch
-  /// chains, and the deferred frees / head erasures commit serially in
-  /// ascending chunk order, so the sketch ends the phase in the exact
-  /// state the serial chunk walk leaves it in.
+  /// chains, and the deferred frees commit serially in ascending chunk
+  /// order, so the sketch ends the phase in the exact state the serial
+  /// chunk walk leaves it in.
   void gather_pinned(std::span<const NodeId> tx,
                      const std::vector<char>& is_tx, bool half_duplex) {
     const std::uint64_t chunks =
@@ -527,38 +510,47 @@ class ImplicitDynamicGnpTopology {
     for (std::uint64_t c = 0; c < chunks; ++c) {
       const SketchShard& shard = shards_[c];
       pinned_.insert(pinned_.end(), shard.pinned.begin(), shard.pinned.end());
-      sketch_.commit_deferred(shard.freed, shard.emptied);
+      sketch_.commit_deferred(shard.freed);
     }
-    // Stable sort by listener via an index tie-break and reused member
-    // scratch — std::stable_sort would heap-allocate its merge buffer
-    // every round (tests/sim/shard_scratch_test.cpp pins steady-state
-    // rounds allocation-free).
-    const auto count = static_cast<std::uint32_t>(pinned_.size());
-    pinned_order_.resize(count);
-    for (std::uint32_t i = 0; i < count; ++i) pinned_order_[i] = i;
-    std::sort(pinned_order_.begin(), pinned_order_.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                return pinned_[a].listener != pinned_[b].listener
-                           ? pinned_[a].listener < pinned_[b].listener
-                           : a < b;
-              });
-    pinned_scratch_.resize(count);
-    for (std::uint32_t i = 0; i < count; ++i)
-      pinned_scratch_[i] = pinned_[pinned_order_[i]];
-    pinned_.swap(pinned_scratch_);
+    sort_pinned_by_listener();
     for (const PinnedTouch& t : pinned_) marks_[t.listener] = 1;
+  }
+
+  /// Stable LSD radix sort of pinned_ by listener, 11-bit digits, as many
+  /// passes as the largest node id needs: equal listeners keep their
+  /// gather order, so the result is the (listener, gather index) order.
+  /// Counts and the ping-pong buffer are reused member scratch, so
+  /// steady-state rounds allocate nothing (tests/sim/shard_scratch_test.cpp).
+  void sort_pinned_by_listener() {
+    constexpr unsigned kBits = 11;
+    constexpr std::uint32_t kMask = (1u << kBits) - 1;
+    const std::uint64_t max_listener = sampler_.n() - 1;
+    pinned_scratch_.resize(pinned_.size());
+    for (unsigned shift = 0; (max_listener >> shift) != 0; shift += kBits) {
+      radix_counts_.assign(std::size_t{1} << kBits, 0);
+      for (const PinnedTouch& t : pinned_)
+        ++radix_counts_[(t.listener >> shift) & kMask];
+      std::uint32_t offset = 0;
+      for (std::uint32_t& c : radix_counts_) {
+        const std::uint32_t count = c;
+        c = offset;
+        offset += count;
+      }
+      for (const PinnedTouch& t : pinned_)
+        pinned_scratch_[radix_counts_[(t.listener >> shift) & kMask]++] = t;
+      pinned_.swap(pinned_scratch_);
+    }
   }
 
   /// One gather chunk: walks the sketch chains of senders
   /// tx[c·chunk, (c+1)·chunk) with the chunk's keyed stream, accumulating
-  /// pinned touches, freed entry indices and emptied heads in the chunk's
-  /// private scratch. Kept out-of-line so the pool fan-out lambda captures
-  /// only `this` (std::function inline storage — no per-round allocation).
+  /// pinned touches and freed entry indices in the chunk's private scratch.
+  /// Kept out-of-line so the pool fan-out lambda captures only `this`
+  /// (std::function inline storage — no per-round allocation).
   void gather_chunk(std::uint64_t c) {
     SketchShard& shard = shards_[c];
     shard.pinned.clear();
     shard.freed.clear();
-    shard.emptied.clear();
     Rng rng = sketch_phase_.gather_key.fork(c).make_rng();
     const std::span<const NodeId> tx = sketch_phase_.tx;
     const std::vector<char>& is_tx = *sketch_phase_.is_tx;
@@ -586,7 +578,7 @@ class ImplicitDynamicGnpTopology {
             shard.pinned.push_back({w, t, present});
             return present;
           },
-          shard.freed, shard.emptied);
+          shard.freed);
     }
   }
 
@@ -769,8 +761,8 @@ class ImplicitDynamicGnpTopology {
   std::vector<PinnedTouch> pinned_;
   std::vector<PinnedEvent> pinned_events_;
   std::vector<SketchShard> shards_;       ///< per-chunk scratch, reused
-  std::vector<std::uint32_t> pinned_order_;   ///< gather sort scratch
-  std::vector<PinnedTouch> pinned_scratch_;   ///< gather sort scratch
+  std::vector<std::uint32_t> radix_counts_;  ///< gather sort scratch
+  std::vector<PinnedTouch> pinned_scratch_;  ///< gather sort scratch
   std::vector<std::size_t> group_starts_; ///< pinned group offsets + sentinel
   SketchPhase sketch_phase_;              ///< current phase inputs
 };

@@ -144,6 +144,69 @@ TEST(ShardScratch, DynamicSketchPhasesSteadyStateAllocFree) {
   EXPECT_GT(sink.deliveries, 0u);
 }
 
+TEST(ShardScratch, DynamicStaleSweepRoundsAllocFree) {
+  // Churn 0.5 puts the stale horizon at 40 rounds. One sampling round
+  // fills the sketch with round-0 entries of every sender; from then on
+  // p = 0. Round 37 (warm-up) gathers group A's chains, round 38 (counted)
+  // group T's — half as many senders, so the warm-up high-waters every
+  // gather, radix-sort and classify buffer. Round 41 (counted) is the
+  // first the sweep may run in, and every entry left is stale by then.
+  const graph::NodeId n = 8192;
+  constexpr graph::NodeId kGroupT = 512, kGroupA = 1024;
+  const double p0 = 1.5 / static_cast<double>(n);
+
+  ImplicitDynamicGnp spec;
+  spec.n = n;
+  spec.p = p0;
+  spec.churn = 0.5;
+  spec.sketch_capacity = 2048;  // sweeps once 1536 entries are live
+  spec.rng = Rng(0x57A1E);
+  spec.p_of_round = [p0](std::uint32_t round) {
+    return round == 0 ? p0 : 0.0;
+  };
+  ImplicitDynamicGnpTopology topo(spec);
+  topo.set_parallelism(resolve_pool(0));
+
+  std::vector<graph::NodeId> all(n);
+  for (graph::NodeId v = 0; v < n; ++v) all[v] = v;
+  const std::span<const graph::NodeId> group_t{all.data(), kGroupT};
+  const std::span<const graph::NodeId> group_a{all.data() + kGroupT, kGroupA};
+  std::vector<char> is_tx(n, 0);
+  CountSink sink;
+  const auto run_round = [&](std::uint32_t round,
+                             std::span<const graph::NodeId> tx) {
+    for (const graph::NodeId v : tx) is_tx[v] = 1;
+    topo.begin_round(round);
+    topo.deliver(tx, is_tx, /*half_duplex=*/false, DeliveryPath::kAuto,
+                 std::nullopt, /*collisions_inert=*/false, sink);
+    for (const graph::NodeId v : tx) is_tx[v] = 0;
+  };
+
+  run_round(0, all);
+  ASSERT_EQ(topo.sketch_size(), 2048u) << "round 0 did not fill the sketch";
+  for (std::uint32_t round = 1; round < 37; ++round) run_round(round, {});
+  run_round(37, group_a);
+  const std::size_t before_t = topo.sketch_size();
+
+  std::size_t after_t = 0, before_sweep = 0;
+  const std::uint64_t before = g_allocations.load();
+  for (std::uint32_t round = 38; round < 46; ++round) {
+    if (round == 41) before_sweep = topo.sketch_size();
+    run_round(round, group_t);
+    if (round == 38) after_t = topo.sketch_size();
+  }
+  const std::uint64_t during = g_allocations.load() - before;
+
+  EXPECT_EQ(during, 0u)
+      << "counted rounds (gather + radix sort, stale sweep) allocated "
+      << during << " times";
+  // The counted work was real: round 38 gathered and sorted T's entries,
+  // and round 41 swept with the pool past its watermark.
+  EXPECT_LT(after_t, before_t);
+  EXPECT_GE(before_sweep, 1536u);
+  EXPECT_EQ(topo.sketch_size(), 0u) << "the stale sweep did not run";
+}
+
 TEST(ShardScratch, RggBucketingSteadyStateAllocFree) {
   const graph::NodeId n = 8192;
   const double radius = graph::rgg_threshold_radius(n, 4.0);

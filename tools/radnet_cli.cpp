@@ -172,6 +172,7 @@ int main(int argc, char** argv) {
     }
 
     const auto n = static_cast<graph::NodeId>(args.get_u64("n", 1024));
+    RADNET_REQUIRE(n >= 2, "--n must be >= 2");
     const double p = args.has("p")
                          ? args.get_double("p", 0.0)
                          : delta_link_probability(
@@ -201,12 +202,13 @@ int main(int argc, char** argv) {
     double eff_p = p;
     std::uint64_t diameter = 0;
     graph::Digraph sample;
-    // irgg geometry: radio range from the connectivity-threshold multiple,
-    // per-round movement as a fraction of that range.
-    const double rgg_radius =
-        graph::rgg_threshold_radius(n, args.get_double("radius-mult", 2.0));
-    const double rgg_step = rgg_radius * args.get_double("step", 0.125);
+    double rgg_radius = 0.0, rgg_step = 0.0;
     if (implicit_rgg) {
+      // Radio range from the connectivity-threshold multiple, per-round
+      // movement as a fraction of that range.
+      rgg_radius =
+          graph::rgg_threshold_radius(n, args.get_double("radius-mult", 2.0));
+      rgg_step = rgg_radius * args.get_double("step", 0.125);
       // No graph to probe: the topology exists only as (n, radius, step).
       source = static_cast<graph::NodeId>(args.get_u64("source", 0));
       const double mean_degree =
