@@ -31,13 +31,17 @@ namespace fs = std::filesystem;
 /// A small mixed-family spec set that exercises every backend family and
 /// both convergence regimes (all-fail alg1 converges by rate alone; the
 /// alg2m spec runs to exhaustion) while staying tier-1 fast.
+constexpr const char* kSpecs[] = {
+    "protocol=alg1 family=ignp n=256 delta=8 trials=96 seed=7",
+    "protocol=flooding family=csr n=128 delta=6 trials=24 seed=9",
+    "protocol=alg2m family=idgnp n=256 churn=0.5 trials=48 seed=11",
+    "protocol=eg2005 family=irgg n=128 radius-mult=2 trials=32 seed=3",
+};
+
 std::vector<BatchSpec> mixed_specs() {
-  std::istringstream in(
-      "protocol=alg1 family=ignp n=256 delta=8 trials=96 seed=7\n"
-      "protocol=flooding family=csr n=128 delta=6 trials=24 seed=9\n"
-      "protocol=alg2m family=idgnp n=256 churn=0.5 trials=48 seed=11\n"
-      "protocol=eg2005 family=irgg n=128 radius-mult=2 trials=32 seed=3\n");
-  return parse_batch_file(in);
+  std::vector<BatchSpec> specs;
+  for (const char* line : kSpecs) specs.push_back(parse_batch_spec(line));
+  return specs;
 }
 
 std::string run_to_string(const std::vector<BatchSpec>& specs,
@@ -90,6 +94,29 @@ TEST(BatchSpecHashTest, DifferentExperimentsHashDifferently) {
         "protocol=alg1 family=ignp n=512 seed=7 jammers=0.05"}) {
     EXPECT_NE(base.hash(), parse_batch_spec(line).hash()) << line;
   }
+}
+
+TEST(BatchSpecHashTest, ExistingSpecHashesArePinned) {
+  // A spec's hash is its cache address and part of the journal binding, so
+  // new spec keys must leave every existing hash where it was. Pinned: the
+  // four kSpecs lines and three golden-fingerprint scenario lines.
+  const struct {
+    const char* line;
+    std::uint64_t hash;
+  } kPinned[] = {
+      {kSpecs[0], 0x649e94699ce151e0ull},
+      {kSpecs[1], 0x722cc6182aed9d6eull},
+      {kSpecs[2], 0xf1b1ba7622b0f3d2ull},
+      {kSpecs[3], 0xc740a21f720e299dull},
+      {"protocol=alg1 family=csr n=4096 seed=11 max-rounds=96",
+       0x1fcb39ae001adb68ull},
+      {"protocol=alg2m family=idgnp n=131072 churn=0.5 seed=11 max-rounds=96",
+       0xec880073229d230eull},
+      {"protocol=eg2005 family=irgg n=131072 seed=11 max-rounds=96",
+       0x60add125e589e9acull},
+  };
+  for (const auto& pin : kPinned)
+    EXPECT_EQ(parse_batch_spec(pin.line).hash(), pin.hash) << pin.line;
 }
 
 TEST(BatchSpecParseTest, RejectsMalformedLinesNamingTheKey) {
