@@ -147,7 +147,7 @@ int main() {
     return spec;
   };
   const auto on_gnp = [&](McSpec spec) {
-    spec.implicit_gnp = radnet::harness::ImplicitGnpParams{n, p};
+    spec.implicit_gnp = radnet::sim::ImplicitGnp{n, p, radnet::Rng{}};
     return spec;
   };
   const auto on_csr = [&](McSpec spec) {
@@ -272,14 +272,9 @@ int main() {
   // an abort or "rounds_median": nan — non-JSON output — so the bench
   // FAILS if the emitted line is malformed rather than hiding the regime.
   {
-    radnet::harness::BatchSpec allfail;
-    allfail.protocol = "alg1";
-    allfail.family = radnet::harness::BatchFamily::kImplicitGnp;
-    allfail.n = 512;
-    allfail.trials = trials;
-    allfail.adversary.jammer_fraction = 0.6;
-    allfail.adversary.protected_nodes = {0};
-    allfail.validate();
+    const auto allfail = radnet::harness::parse_batch_spec(
+        "protocol=alg1 family=ignp n=512 jammers=0.6 trials=" +
+        std::to_string(trials));
     const auto result =
         radnet::harness::run_monte_carlo(allfail.to_mc_spec());
     const std::string json = radnet::harness::batch_result_json(

@@ -35,6 +35,7 @@ using radnet::harness::BatchOptions;
 using radnet::harness::BatchOutcome;
 using radnet::harness::BatchSpec;
 using radnet::harness::BatchStats;
+using radnet::harness::parse_batch_spec;
 
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -47,33 +48,22 @@ double now_ms() {
 /// sweep a parameter-space exploration fires at the service in one file.
 std::vector<BatchSpec> build_specs(std::uint32_t trials,
                                    std::uint32_t seeds_per_point) {
-  const BatchFamily families[] = {BatchFamily::kImplicitGnp,
-                                  BatchFamily::kCsr,
-                                  BatchFamily::kImplicitDynamic,
-                                  BatchFamily::kImplicitRgg};
+  const char* families[] = {"ignp", "csr", "idgnp churn=0.5", "irgg"};
   const char* protocols[] = {"alg1", "alg2m", "eg2005",
                              "flooding", "fixed", "decay"};
+  // A fixed horizon keeps the non-completing protocols ("fixed" at q = 0.5
+  // never terminates by itself) from burning the full derived budget on
+  // every censored trial; tol 0.1 lets clearly resolved specs stop at a
+  // proper prefix of the budget.
   std::vector<BatchSpec> specs;
-  for (const auto family : families)
-    for (const char* protocol : protocols)
-      for (const std::uint32_t n : {256u, 512u, 1024u})
-        for (std::uint32_t s = 0; s < seeds_per_point; ++s) {
-          BatchSpec spec;
-          spec.protocol = protocol;
-          spec.family = family;
-          spec.n = n;
-          spec.trials = trials;
-          spec.seed = 0x5eed + s;
-          // A fixed horizon keeps the non-completing protocols ("fixed"
-          // at q = 0.5 never terminates by itself) from burning the full
-          // derived budget on every censored trial; tol 0.1 lets clearly
-          // resolved specs stop at a proper prefix of the budget.
-          spec.max_rounds = 256;
-          spec.tol = 0.1;
-          if (family == BatchFamily::kImplicitDynamic) spec.churn = 0.5;
-          spec.validate();
-          specs.push_back(spec);
-        }
+  for (const std::string family : families)
+    for (const std::string protocol : protocols)
+      for (const char* n : {"256", "512", "1024"})
+        for (std::uint32_t s = 0; s < seeds_per_point; ++s)
+          specs.push_back(parse_batch_spec(
+              "protocol=" + protocol + " family=" + family + " n=" + n +
+              " trials=" + std::to_string(trials) + " seed=" +
+              std::to_string(0x5eed + s) + " max-rounds=256 tol=0.1"));
   return specs;
 }
 

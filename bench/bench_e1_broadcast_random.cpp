@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
     spec.trials = trials;
     spec.seed = env.seed;
     if (implicit) {
-      spec.implicit_gnp = radnet::harness::ImplicitGnpParams{n, p};
+      spec.implicit_gnp = radnet::sim::ImplicitGnp{n, p, radnet::Rng{}};
     } else {
       spec.make_graph = [n, p](std::uint32_t, Rng rng) {
         return std::make_shared<const radnet::graph::Digraph>(

@@ -183,7 +183,8 @@ int main(int argc, char** argv) {
     }, budget);
 
     run_protocol_row(t, env, topo, "czumaj-rytter(alpha')", trials, [&] {
-      return radnet::baselines::czumaj_rytter(n, topo.diameter, 4.0);
+      return std::make_unique<radnet::core::GeneralBroadcastProtocol>(
+          radnet::baselines::czumaj_rytter_params(n, topo.diameter, 4.0));
     }, budget);
 
     // Decay gets the window its w.h.p. guarantee needs: O(log n) phases per

@@ -16,15 +16,14 @@ sim::Round czumaj_rytter_window(std::uint64_t n, std::uint64_t diameter,
   return static_cast<sim::Round>(std::ceil(beta * lambda * l * l));
 }
 
-std::unique_ptr<core::GeneralBroadcastProtocol> czumaj_rytter(
-    std::uint64_t n, std::uint64_t diameter, double beta,
-    graph::NodeId source) {
-  core::GeneralBroadcastParams params{
-      .distribution = core::SequenceDistribution::alpha_prime(n, diameter),
-      .window = czumaj_rytter_window(n, diameter, beta),
-      .source = source,
-      .label = "czumaj-rytter"};
-  return std::make_unique<core::GeneralBroadcastProtocol>(std::move(params));
+core::GeneralBroadcastParams czumaj_rytter_params(std::uint64_t n,
+                                                 std::uint64_t diameter,
+                                                 double beta,
+                                                 graph::NodeId source) {
+  return {.distribution = core::SequenceDistribution::alpha_prime(n, diameter),
+          .window = czumaj_rytter_window(n, diameter, beta),
+          .source = source,
+          .label = "czumaj-rytter"};
 }
 
 }  // namespace radnet::baselines

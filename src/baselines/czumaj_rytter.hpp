@@ -12,15 +12,14 @@
 // success rates and measures exactly this energy gap.
 #pragma once
 
-#include <memory>
-
 #include "core/broadcast_general.hpp"
 
 namespace radnet::baselines {
 
-/// Builds the CR-known-D protocol for (n, D): GeneralBroadcastProtocol with
-/// distribution alpha'(n, D) and window ceil(beta * lambda * log2(n)^2).
-[[nodiscard]] std::unique_ptr<core::GeneralBroadcastProtocol> czumaj_rytter(
+/// The CR-known-D protocol for (n, D) as GeneralBroadcastProtocol
+/// parameters: distribution alpha'(n, D), window
+/// ceil(beta * lambda * log2(n)^2).
+[[nodiscard]] core::GeneralBroadcastParams czumaj_rytter_params(
     std::uint64_t n, std::uint64_t diameter, double beta,
     graph::NodeId source = 0);
 

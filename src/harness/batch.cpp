@@ -24,13 +24,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "baselines/decay.hpp"
-#include "baselines/elsasser_gasieniec.hpp"
-#include "baselines/fixed_prob.hpp"
-#include "baselines/flooding.hpp"
-#include "core/broadcast_random.hpp"
-#include "core/gossip_random.hpp"
 #include "graph/generators.hpp"
+#include "harness/protocols.hpp"
 #include "support/hash.hpp"
 #include "support/io.hpp"
 #include "support/journal.hpp"
@@ -45,11 +40,6 @@ namespace {
 constexpr double kPi = 3.141592653589793;
 
 constexpr std::size_t kNoDup = std::numeric_limits<std::size_t>::max();
-
-bool known_protocol(const std::string& name) {
-  return name == "alg1" || name == "alg2m" || name == "eg2005" ||
-         name == "flooding" || name == "fixed" || name == "decay";
-}
 
 BatchFamily family_from_name(std::string_view name, std::string_view what) {
   if (name == "csr") return BatchFamily::kCsr;
@@ -578,48 +568,62 @@ double BatchSpec::rgg_radius() const {
   return graph::rgg_threshold_radius(n, radius_mult);
 }
 
+std::uint64_t BatchSpec::resolved_diameter() const {
+  if (diameter > 0) return diameter;
+  if (family == BatchFamily::kImplicitRgg)
+    return std::max<std::uint64_t>(
+        2, static_cast<std::uint64_t>(std::ceil(1.4143 / rgg_radius())));
+  return 2ull * ilog2_floor(n) + 8;
+}
+
 std::uint64_t BatchSpec::resolved_max_rounds() const {
   if (max_rounds > 0) return max_rounds;
-  // radnet_cli's budget formula, 64 * (D log n + log^2 n), with the hop
-  // diameter D from the family's geometry. For ignp, idgnp and irgg the CLI
-  // derives the same D and p, so the same seed runs the same experiment.
-  // For csr it does not: the CLI measures p and D on a sample graph, while
-  // a batch spec keeps the nominal p and assumes D = 2 log n + 8.
+  // 64 * (D log n + log^2 n). A csr spec assumes D = 2 log n + 8 unless
+  // diameter is set; radnet_cli sets the diameter it measures on a sample
+  // graph of its generator.
   const double log2n = std::log2(static_cast<double>(n));
-  const std::uint64_t diameter =
-      family == BatchFamily::kImplicitRgg
-          ? std::max<std::uint64_t>(
-                2, static_cast<std::uint64_t>(std::ceil(1.4143 / rgg_radius())))
-          : 2ull * ilog2_floor(n) + 8;
   return static_cast<std::uint64_t>(
-      64.0 * (static_cast<double>(diameter) * std::max(1.0, log2n) +
+      64.0 * (static_cast<double>(resolved_diameter()) * std::max(1.0, log2n) +
               log2n * log2n));
 }
 
-void BatchSpec::validate() const {
-  RADNET_REQUIRE(known_protocol(protocol),
-                 "spec field protocol must be alg1, alg2m, eg2005, flooding, "
-                 "fixed or decay, got '" + protocol + "'");
-  RADNET_REQUIRE(n >= 1, "spec field n must be >= 1");
+void BatchSpec::validate(std::string_view field) const {
+  // Messages are built only on failure (RADNET_REQUIRE), so the prefix
+  // costs nothing on the hash() / to_mc_spec() path.
+  const auto named = [field](const char* key) {
+    return std::string(field) + key;
+  };
+  if (find_protocol(protocol) == nullptr) {
+    std::string names;
+    for (const ProtocolEntry& e : protocol_table())
+      names += (names.empty() ? "" : ", ") + std::string(e.name);
+    throw std::invalid_argument(named("protocol") + " must be one of " +
+                                names + ", got '" + protocol + "'");
+  }
+  RADNET_REQUIRE(n >= 1, named("n") + " must be >= 1");
   RADNET_REQUIRE(trials >= 1 && trials <= McSpec::kMaxTrials,
-                 "spec field trials must be in [1, McSpec::kMaxTrials]");
+                 named("trials") + " must be in [1, McSpec::kMaxTrials]");
   RADNET_REQUIRE(std::isfinite(tol) && tol >= 0.0,
-                 "spec field tol must be finite and >= 0");
+                 named("tol") + " must be finite and >= 0");
   RADNET_REQUIRE(confidence > 0.0 && confidence < 1.0,
-                 "spec field confidence must be in (0, 1)");
+                 named("confidence") + " must be in (0, 1)");
   RADNET_REQUIRE(std::isfinite(q) && q >= 0.0 && q <= 1.0,
-                 "spec field q must be in [0, 1]");
-  RADNET_REQUIRE(p >= 0.0 && p <= 1.0, "spec field p must be in [0, 1]");
+                 named("q") + " must be in [0, 1]");
+  RADNET_REQUIRE(q > 0.0 || protocol != "fixed",
+                 named("q") + " must be > 0 for protocol fixed");
+  RADNET_REQUIRE(p >= 0.0 && p <= 1.0, named("p") + " must be in [0, 1]");
   RADNET_REQUIRE(std::isfinite(delta) && delta > 0.0,
-                 "spec field delta must be > 0");
+                 named("delta") + " must be > 0");
+  RADNET_REQUIRE(source < n, named("source") + " must be < n (" +
+                                 std::to_string(n) + ")");
   if (family == BatchFamily::kImplicitRgg) {
     RADNET_REQUIRE(std::isfinite(radius_mult) && radius_mult > 0.0,
-                   "spec field radius-mult must be > 0");
+                   named("radius-mult") + " must be > 0");
     const double r = rgg_radius();
     RADNET_REQUIRE(r > 0.0 && r <= 1.5,
-                   "spec field radius-mult yields a radius outside (0, 1.5]");
+                   named("radius-mult") + " yields a radius outside (0, 1.5]");
     RADNET_REQUIRE(step >= 0.0 && step <= 1.0,
-                   "spec field step must be in [0, 1]");
+                   named("step") + " must be in [0, 1]");
   } else {
     RADNET_REQUIRE(effective_p() > 0.0,
                    "resolved link probability must be > 0 (n = 1 with a "
@@ -627,14 +631,17 @@ void BatchSpec::validate() const {
   }
   if (family == BatchFamily::kImplicitDynamic) {
     RADNET_REQUIRE(churn > 0.0 && churn <= 1.0,
-                   "spec field churn must be in (0, 1]");
+                   named("churn") + " must be in (0, 1]");
     RADNET_REQUIRE(fail_prob >= 0.0 && fail_prob < 1.0,
-                   "spec field fail-prob must be in [0, 1)");
+                   named("fail-prob") + " must be in [0, 1)");
+  } else {
+    RADNET_REQUIRE(p_amp == 0.0,
+                   named("p-amp") + " applies only to the idgnp family");
   }
   RADNET_REQUIRE(resolved_max_rounds() >= 1 &&
                      resolved_max_rounds() <=
                          std::numeric_limits<sim::Round>::max(),
-                 "spec field max-rounds is out of range");
+                 named("max-rounds") + " is out of range");
   adversary.validate();
 }
 
@@ -669,8 +676,18 @@ std::uint64_t BatchSpec::hash() const {
     h.put_u64(22, static_cast<std::uint64_t>(ev.kind));
     h.put_double(23, ev.fraction);
   }
-  h.put_u64(24, adversary.protected_nodes.size());
-  for (const graph::NodeId v : adversary.protected_nodes) h.put_u64(25, v);
+  // The protected set to_mc_spec derives: {source} iff the adversary acts.
+  h.put_u64(24, adversary.active() ? 1 : 0);
+  if (adversary.active()) h.put_u64(25, source);
+  // Later keys hash only when they differ from their defaults, so every
+  // spec written before they existed keeps its hash (its cache address).
+  if (source != 0) h.put_u64(26, source);
+  if (diameter != 0) h.put_u64(27, diameter);
+  if (lambda != 0.0) h.put_double(28, lambda);
+  if (p_amp != 0.0) {
+    h.put_double(29, p_amp);
+    h.put_u64(30, p_period);
+  }
   return h.value();
 }
 
@@ -689,7 +706,7 @@ McSpec BatchSpec::to_mc_spec() const {
       };
       break;
     case BatchFamily::kImplicitGnp:
-      mc.implicit_gnp = ImplicitGnpParams{nodes, eff_p};
+      mc.implicit_gnp = sim::ImplicitGnp{nodes, eff_p, Rng{}};
       break;
     case BatchFamily::kImplicitDynamic: {
       sim::ImplicitDynamicGnp d;
@@ -697,6 +714,13 @@ McSpec BatchSpec::to_mc_spec() const {
       d.p = eff_p;
       d.churn = churn;
       d.fail_prob = fail_prob;
+      if (p_amp != 0.0) {
+        d.p_of_round = [eff_p, amp = p_amp, period = p_period](sim::Round r) {
+          return eff_p * (1.0 + amp * std::sin(2.0 * kPi *
+                                               static_cast<double>(r) /
+                                               static_cast<double>(period)));
+        };
+      }
       mc.implicit_dynamic = std::move(d);
       break;
     }
@@ -706,33 +730,91 @@ McSpec BatchSpec::to_mc_spec() const {
       break;
     }
   }
-  const std::string name = protocol;
-  const double qq = q;
-  mc.make_protocol = [name, eff_p, qq](const graph::Digraph&, std::uint32_t)
-      -> std::unique_ptr<sim::Protocol> {
-    if (name == "alg1")
-      return std::make_unique<core::BroadcastRandomProtocol>(
-          core::BroadcastRandomParams{.p = eff_p, .source = 0});
-    if (name == "alg2m")
-      return std::make_unique<core::GossipRumorMarginalProtocol>(
-          core::GossipRumorMarginalParams{.p = eff_p, .rumor_source = 0});
-    if (name == "eg2005")
-      return std::make_unique<baselines::ElsasserGasieniecProtocol>(
-          baselines::ElsasserGasieniecParams{.p = eff_p, .source = 0});
-    if (name == "flooding")
-      return std::make_unique<baselines::FloodingProtocol>(graph::NodeId{0});
-    if (name == "fixed")
-      return std::make_unique<baselines::FixedProbProtocol>(
-          baselines::FixedProbParams{.q = qq, .source = 0});
-    if (name == "decay")
-      return std::make_unique<baselines::DecayProtocol>(
-          baselines::DecayParams{.source = 0});
-    throw std::invalid_argument("unknown batch protocol: " + name);
+  const ProtocolArgs args{.n = nodes,
+                          .p = eff_p,
+                          .source = source,
+                          .diameter = resolved_diameter(),
+                          .q = q,
+                          .lambda = lambda};
+  mc.make_protocol = [make = find_protocol(protocol)->make, args](
+                         const graph::Digraph&, std::uint32_t) {
+    return make(args);
   };
   mc.run_options.max_rounds = static_cast<sim::Round>(resolved_max_rounds());
   mc.run_options.stop_on_empty_candidates = true;
   mc.run_options.adversary = adversary;
+  // The attacked quantity is the spread of the message, not its existence.
+  if (adversary.active()) mc.run_options.adversary.protected_nodes = {source};
   return mc;
+}
+
+void BatchSpec::set(std::string_view key, std::string_view value,
+                    std::string_view what) {
+  const auto node_id = [&] {
+    const std::uint64_t v = parse_u64_strict(value, what);
+    RADNET_REQUIRE(v <= std::numeric_limits<graph::NodeId>::max(),
+                   std::string(what) + " is out of range");
+    return static_cast<graph::NodeId>(v);
+  };
+  if (key == "protocol") {
+    protocol = value;  // checked against the protocol table by validate()
+  } else if (key == "family") {
+    family = family_from_name(value, what);
+  } else if (key == "n") {
+    n = node_id();
+    RADNET_REQUIRE(n >= 1, std::string(what) + " is out of range");
+  } else if (key == "p") {
+    p = parse_double_in(value, what, 0.0, 1.0);
+  } else if (key == "delta") {
+    delta = parse_double_strict(value, what);
+  } else if (key == "q") {
+    q = parse_double_in(value, what, 0.0, 1.0);
+  } else if (key == "churn") {
+    churn = parse_double_in(value, what, 0.0, 1.0);
+  } else if (key == "fail-prob") {
+    fail_prob = parse_double_in(value, what, 0.0, 1.0);
+  } else if (key == "radius-mult") {
+    radius_mult = parse_double_strict(value, what);
+  } else if (key == "step") {
+    step = parse_double_in(value, what, 0.0, 1.0);
+  } else if (key == "p-amp") {
+    p_amp = parse_double_strict(value, what);
+    RADNET_REQUIRE(p_amp >= 0.0, std::string(what) + " must be >= 0");
+  } else if (key == "p-period") {
+    p_period = parse_u64_strict(value, what);
+    RADNET_REQUIRE(p_period >= 1, std::string(what) + " must be >= 1");
+  } else if (key == "source") {
+    source = node_id();
+  } else if (key == "diameter") {
+    diameter = node_id();  // a hop diameter is below n; keeps budgets finite
+  } else if (key == "lambda") {
+    lambda = parse_double_strict(value, what);
+    RADNET_REQUIRE(lambda >= 0.0, std::string(what) + " must be >= 0");
+  } else if (key == "trials") {
+    const std::uint64_t v = parse_u64_strict(value, what);
+    RADNET_REQUIRE(v >= 1 && v <= McSpec::kMaxTrials,
+                   std::string(what) + " is out of range");
+    trials = static_cast<std::uint32_t>(v);
+  } else if (key == "seed") {
+    seed = parse_u64_strict(value, what);
+  } else if (key == "max-rounds") {
+    max_rounds = parse_u64_strict(value, what);
+  } else if (key == "tol") {
+    tol = parse_double_in(value, what, 0.0, 1.0);
+  } else if (key == "confidence") {
+    confidence = parse_double_strict(value, what);
+  } else if (key == "jammers") {
+    adversary.jammer_fraction = parse_double_in(value, what, 0.0, 1.0);
+  } else if (key == "byzantine") {
+    adversary.byzantine_fraction = parse_double_in(value, what, 0.0, 1.0);
+  } else if (key == "energy-budget") {
+    sim::parse_energy_budget(value, what, adversary);
+  } else if (key == "fault-schedule") {
+    adversary.fault_schedule = sim::parse_fault_schedule(value, what);
+  } else {
+    throw std::invalid_argument("unknown spec key '" + std::string(key) +
+                                "'");
+  }
 }
 
 BatchSpec parse_batch_spec(std::string_view line) {
@@ -746,67 +828,11 @@ BatchSpec parse_batch_spec(std::string_view line) {
     RADNET_REQUIRE(eq != std::string::npos && eq > 0,
                    "spec tokens look like key=value, got '" + token + "'");
     const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
     RADNET_REQUIRE(seen.insert(key).second,
                    "duplicate spec key '" + key + "'");
-    const std::string what = "spec field " + key;
-    if (key == "protocol") {
-      RADNET_REQUIRE(known_protocol(value),
-                     what + " must be alg1, alg2m, eg2005, flooding, fixed "
-                            "or decay, got '" + value + "'");
-      spec.protocol = value;
-    } else if (key == "family") {
-      spec.family = family_from_name(value, what);
-    } else if (key == "n") {
-      const std::uint64_t v = parse_u64_strict(value, what);
-      RADNET_REQUIRE(v >= 1 && v <= std::numeric_limits<graph::NodeId>::max(),
-                     what + " is out of range");
-      spec.n = static_cast<graph::NodeId>(v);
-    } else if (key == "p") {
-      spec.p = parse_double_in(value, what, 0.0, 1.0);
-    } else if (key == "delta") {
-      spec.delta = parse_double_strict(value, what);
-    } else if (key == "q") {
-      spec.q = parse_double_in(value, what, 0.0, 1.0);
-    } else if (key == "churn") {
-      spec.churn = parse_double_in(value, what, 0.0, 1.0);
-    } else if (key == "fail-prob") {
-      spec.fail_prob = parse_double_in(value, what, 0.0, 1.0);
-    } else if (key == "radius-mult") {
-      spec.radius_mult = parse_double_strict(value, what);
-    } else if (key == "step") {
-      spec.step = parse_double_in(value, what, 0.0, 1.0);
-    } else if (key == "trials") {
-      const std::uint64_t v = parse_u64_strict(value, what);
-      RADNET_REQUIRE(v >= 1 && v <= McSpec::kMaxTrials,
-                     what + " is out of range");
-      spec.trials = static_cast<std::uint32_t>(v);
-    } else if (key == "seed") {
-      spec.seed = parse_u64_strict(value, what);
-    } else if (key == "max-rounds") {
-      spec.max_rounds = parse_u64_strict(value, what);
-    } else if (key == "tol") {
-      spec.tol = parse_double_in(value, what, 0.0, 1.0);
-    } else if (key == "confidence") {
-      spec.confidence = parse_double_strict(value, what);
-    } else if (key == "jammers") {
-      spec.adversary.jammer_fraction = parse_double_in(value, what, 0.0, 1.0);
-    } else if (key == "byzantine") {
-      spec.adversary.byzantine_fraction =
-          parse_double_in(value, what, 0.0, 1.0);
-    } else if (key == "energy-budget") {
-      sim::parse_energy_budget(value, what, spec.adversary);
-    } else if (key == "fault-schedule") {
-      spec.adversary.fault_schedule = sim::parse_fault_schedule(value, what);
-    } else {
-      throw std::invalid_argument("unknown spec key '" + key + "'");
-    }
+    spec.set(key, std::string_view(token).substr(eq + 1), "spec field " + key);
   }
   RADNET_REQUIRE(!seen.empty(), "empty spec line");
-  // Node 0 is every batch protocol's source; protecting it makes the
-  // attacked quantity the spread of the rumor, not its existence
-  // (radnet_cli does the same).
-  if (spec.adversary.active()) spec.adversary.protected_nodes = {0};
   spec.validate();
   return spec;
 }

@@ -89,7 +89,7 @@ enum class BatchFamily : std::uint8_t {
 /// values, and hash() covers every field below (resolved, not as written),
 /// so adding a field here requires a new tag in hash() — never a renumber.
 struct BatchSpec {
-  /// alg1 | alg2m | eg2005 | flooding | fixed | decay
+  /// A name in the protocol table (harness/protocols.hpp).
   std::string protocol = "alg1";
   BatchFamily family = BatchFamily::kImplicitGnp;
   graph::NodeId n = 1024;
@@ -106,12 +106,21 @@ struct BatchSpec {
   /// threshold radius, and per-round step as a fraction of the range.
   double radius_mult = 2.0;
   double step = 0.125;
+  /// idgnp only: p(t) = p * (1 + p_amp * sin(2 pi t / p_period)), clamped
+  /// into [0, 1] by the backend; p_amp = 0 keeps p constant.
+  double p_amp = 0.0;
+  std::uint64_t p_period = 64;
+  /// Broadcast / rumor source; an active adversary never attacks it.
+  graph::NodeId source = 0;
+  /// Hop diameter for the budget, alg3 and cr; 0 = resolved_diameter().
+  std::uint64_t diameter = 0;
+  /// alg3's lambda; 0 means lambda_of(n, diameter).
+  double lambda = 0.0;
   /// Maximum trials; early stopping may grant fewer (never more).
   std::uint32_t trials = 256;
   std::uint64_t seed = 0x5eed;
-  /// Per-trial round budget; 0 derives the standard budget from n (and the
-  /// RGG hop diameter) with radnet_cli's formula. For csr the CLI plugs in
-  /// a measured diameter instead, so its default budget differs.
+  /// Per-trial round budget; 0 derives 64 * (D log2 n + log2^2 n) from n
+  /// and the resolved diameter D.
   std::uint64_t max_rounds = 0;
   /// Early-stop tolerance: converged once the completion-rate CI half-width
   /// is <= tol AND the rounds-median CI half-width is <= tol * median.
@@ -119,18 +128,28 @@ struct BatchSpec {
   double tol = 0.05;
   double confidence = 0.95;
   /// Adversary scenario (jammers / byzantine / energy-budget /
-  /// fault-schedule spec keys); node 0 — the source — is auto-protected.
+  /// fault-schedule spec keys); to_mc_spec protects the source.
   sim::AdversarySpec adversary;
 
+  /// Parses one key's value into its field, checking that value alone;
+  /// errors (unknown keys too) name `what`: "spec field <key>" from spec
+  /// lines, "--<key>" from radnet_cli.
+  void set(std::string_view key, std::string_view value,
+           std::string_view what);
+
   /// Rejects out-of-range resolved fields with std::invalid_argument
-  /// (the batch runner refuses whole files fail-fast, before any trial).
-  void validate() const;
+  /// (the batch runner refuses whole files fail-fast, before any trial),
+  /// naming each field `field` + key ("spec field n", or "--n").
+  void validate(std::string_view field = "spec field ") const;
 
   /// Link probability after the delta default is resolved; for the RGG
   /// family this is the mean-degree fraction pi*r^2 (tunes protocol rates).
   [[nodiscard]] double effective_p() const;
   /// RGG radio range (rgg_threshold_radius(n, radius_mult)).
   [[nodiscard]] double rgg_radius() const;
+  /// diameter after the 0-default is resolved: the unit square's hop
+  /// diameter at the RGG radio range, else 2 log2 n + 8.
+  [[nodiscard]] std::uint64_t resolved_diameter() const;
   /// max_rounds after the 0-default is resolved.
   [[nodiscard]] std::uint64_t resolved_max_rounds() const;
 

@@ -133,8 +133,8 @@ TrialRun run_trial(const McSpec& spec, std::uint32_t trial,
     out.run = engine.run(rgg, *protocol, protocol_rng, *opts);
     out.nodes = rgg.n;
   } else if (spec.implicit_gnp.has_value()) {
-    const sim::ImplicitGnp gnp{spec.implicit_gnp->n, spec.implicit_gnp->p,
-                               graph_rng};
+    sim::ImplicitGnp gnp = *spec.implicit_gnp;
+    gnp.rng = graph_rng;
     protocol = make_protocol(placeholder);
     out.run = engine.run(gnp, *protocol, protocol_rng, *opts);
     out.nodes = gnp.n;

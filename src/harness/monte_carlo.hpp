@@ -37,15 +37,6 @@ struct TrialOutcome {
   std::optional<graph::NodeId> stranded;
 };
 
-/// Trial topology for the implicit G(n,p) backend (see sim/topology.hpp):
-/// the graph is never materialised, each trial's edge randomness is the
-/// same (seed, trial, 0) stream make_graph would have received — so an
-/// implicit spec and a CSR spec with identical seeds form paired trials.
-struct ImplicitGnpParams {
-  graph::NodeId n = 0;
-  double p = 0.0;
-};
-
 struct McSpec {
   /// Hard ceiling on `trials`, enforced by validate(): the harness
   /// pre-sizes one TrialOutcome slot per trial before anything runs, so a
@@ -73,8 +64,11 @@ struct McSpec {
       make_sequence;
   /// When set, trials run on the implicit G(n,p) backend instead of a
   /// materialised graph; make_protocol then receives an empty placeholder
-  /// Digraph (protocols are oblivious and never look at it anyway).
-  std::optional<ImplicitGnpParams> implicit_gnp;
+  /// Digraph (protocols are oblivious and never look at it anyway). Set
+  /// (n, p) only — the spec's rng is overwritten per trial with the
+  /// (seed, trial, 0) stream make_graph would have received, so an
+  /// implicit spec and a CSR spec with identical seeds form paired trials.
+  std::optional<sim::ImplicitGnp> implicit_gnp;
   /// When set, trials run on the implicit dynamic G(n,p) backend (takes
   /// precedence over the explicit factories; setting two implicit
   /// backends at once is contradictory and rejected by validate());

@@ -192,7 +192,8 @@ TEST(CzumajRytterTest, WindowIsLambdaTimesLogSquared) {
 TEST(CzumajRytterTest, CompletesOnPathWithKnownD) {
   const std::uint32_t n = 128;
   const Digraph g = graph::path(n);
-  auto proto = czumaj_rytter(n, n - 1, 4.0);
+  auto proto = std::make_unique<core::GeneralBroadcastProtocol>(
+      czumaj_rytter_params(n, n - 1, 4.0));
   sim::RunOptions options;
   options.max_rounds = core::general_round_budget(n, n - 1, 1.0, 64.0);
   options.stop_on_empty_candidates = true;

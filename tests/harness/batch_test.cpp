@@ -22,6 +22,7 @@
 
 #include "harness/batch.hpp"
 #include "harness/monte_carlo.hpp"
+#include "harness/protocols.hpp"
 
 namespace radnet::harness {
 namespace {
@@ -70,6 +71,12 @@ TEST(BatchSpecHashTest, KeyOrderAndSpelledOutDefaultsAreCanonical) {
   const BatchSpec b = parse_batch_spec(
       "seed=7 n=512 family=ignp delta=8 protocol=alg1 trials=256 q=0.5");
   EXPECT_EQ(a.hash(), b.hash());
+  // The keys added after the first spec files hash only when they leave
+  // their defaults; p-period is inert while p-amp is 0.
+  const BatchSpec c = parse_batch_spec(
+      "protocol=alg1 family=ignp n=512 delta=8 seed=7 source=0 diameter=0 "
+      "lambda=0 p-amp=0 p-period=32");
+  EXPECT_EQ(a.hash(), c.hash());
 }
 
 TEST(BatchSpecHashTest, DeltaAndExplicitPResolveToTheSameHash) {
@@ -91,7 +98,11 @@ TEST(BatchSpecHashTest, DifferentExperimentsHashDifferently) {
         "protocol=alg1 family=ignp n=512 seed=8",
         "protocol=alg1 family=ignp n=512 seed=7 trials=128",
         "protocol=alg1 family=ignp n=512 seed=7 tol=0.01",
-        "protocol=alg1 family=ignp n=512 seed=7 jammers=0.05"}) {
+        "protocol=alg1 family=ignp n=512 seed=7 jammers=0.05",
+        "protocol=alg1 family=ignp n=512 seed=7 source=5",
+        "protocol=alg1 family=ignp n=512 seed=7 diameter=40",
+        "protocol=alg1 family=ignp n=512 seed=7 lambda=2",
+        "protocol=alg2 family=ignp n=512 seed=7"}) {
     EXPECT_NE(base.hash(), parse_batch_spec(line).hash()) << line;
   }
 }
@@ -140,6 +151,28 @@ TEST(BatchSpecParseTest, RejectsMalformedLinesNamingTheKey) {
   EXPECT_THROW((void)parse_batch_spec("loose-token"), std::invalid_argument);
   EXPECT_THROW((void)parse_batch_spec("churn=-0.5 family=idgnp"),
                std::invalid_argument);
+  EXPECT_NE(message_of("source=64 n=64").find("spec field source"),
+            std::string::npos);
+  EXPECT_NE(message_of("p-amp=0.5 family=ignp").find("spec field p-amp"),
+            std::string::npos);
+  EXPECT_NE(message_of("p-amp=0.5 family=idgnp p-period=0")
+                .find("spec field p-period"),
+            std::string::npos);
+}
+
+TEST(BatchSpecParseTest, UnknownProtocolErrorListsTheProtocolTable) {
+  std::string message;
+  try {
+    (void)parse_batch_spec("protocol=warp");
+  } catch (const std::invalid_argument& e) {
+    message = e.what();
+  }
+  EXPECT_NE(message.find("spec field protocol"), std::string::npos);
+  EXPECT_NE(message.find("'warp'"), std::string::npos);
+  ASSERT_EQ(protocol_table().size(), 10u);
+  for (const ProtocolEntry& e : protocol_table())
+    EXPECT_NE(message.find(std::string(e.name)), std::string::npos)
+        << e.name << " missing from: " << message;
 }
 
 TEST(BatchSpecParseTest, FileErrorsNameTheLineNumber) {
@@ -166,6 +199,22 @@ TEST(BatchSpecParseTest, CommentsAndBlankLinesAreSkipped) {
   const auto specs = parse_batch_file(in);
   ASSERT_EQ(specs.size(), 1u);
   EXPECT_EQ(specs[0].n, 256u);
+}
+
+TEST(BatchRunTest, CliOnlyProtocolsRunFromSpecLines) {
+  // alg2, alg3, cr and tdma were radnet_cli-only before the protocol table.
+  for (const char* protocol : {"alg2", "alg3", "cr", "tdma"}) {
+    const auto specs = std::vector<BatchSpec>{parse_batch_spec(
+        std::string("protocol=") + protocol + " family=csr n=64 trials=4")};
+    std::vector<BatchOutcome> outcomes;
+    (void)run_to_string(specs, BatchOptions{}, &outcomes);
+    ASSERT_EQ(outcomes.size(), 1u);
+    const std::string& json = outcomes[0].json;
+    EXPECT_NE(json.find(std::string("\"protocol\":\"") + protocol + "\""),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"successes\":4"), std::string::npos) << json;
+  }
 }
 
 TEST(BatchRunTest, OutputBytesAreIdenticalAcrossThreadCounts) {

@@ -154,15 +154,16 @@ TEST(MonteCarloTest, RunTrialMatchesMonteCarloOutcomes) {
            return std::make_unique<graph::ChurnGnp>(n, p, 0.5, rng);
          };
        })},
-      {"implicit_gnp",
-       sourced([&](McSpec& s) { s.implicit_gnp = ImplicitGnpParams{n, p}; })},
+      {"implicit_gnp", sourced([&](McSpec& s) {
+         s.implicit_gnp = sim::ImplicitGnp{n, p, Rng{}};
+       })},
       {"implicit_dynamic",
        sourced([&](McSpec& s) { s.implicit_dynamic = dynamic; })},
       {"implicit_rgg", sourced([&](McSpec& s) {
          s.implicit_rgg = sim::ImplicitRgg{n, radius, radius / 8.0, Rng{}};
        })},
       {"adversarial", sourced([&](McSpec& s) {
-         s.implicit_gnp = ImplicitGnpParams{n, p};
+         s.implicit_gnp = sim::ImplicitGnp{n, p, Rng{}};
          s.run_options.adversary = adversary;
        })},
   };

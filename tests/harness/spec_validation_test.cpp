@@ -16,7 +16,7 @@ namespace {
 McSpec valid_spec() {
   McSpec spec;
   spec.trials = 4;
-  spec.implicit_gnp = ImplicitGnpParams{256, 0.05};
+  spec.implicit_gnp = sim::ImplicitGnp{256, 0.05, Rng{}};
   spec.make_protocol = [](const graph::Digraph&, std::uint32_t) {
     return std::make_unique<baselines::FloodingProtocol>(0);
   };
@@ -71,11 +71,11 @@ TEST(SpecValidationTest, RejectsTwoImplicitBackendsAtOnce) {
 
 TEST(SpecValidationTest, RejectsOutOfRangeImplicitGnp) {
   McSpec spec = valid_spec();
-  spec.implicit_gnp = ImplicitGnpParams{0, 0.05};  // n = 0
+  spec.implicit_gnp = sim::ImplicitGnp{0, 0.05, Rng{}};  // n = 0
   EXPECT_THROW(spec.validate(), std::invalid_argument);
-  spec.implicit_gnp = ImplicitGnpParams{256, 0.0};  // p out of (0, 1]
+  spec.implicit_gnp = sim::ImplicitGnp{256, 0.0, Rng{}};  // p out of (0, 1]
   EXPECT_THROW(spec.validate(), std::invalid_argument);
-  spec.implicit_gnp = ImplicitGnpParams{256, 1.5};
+  spec.implicit_gnp = sim::ImplicitGnp{256, 1.5, Rng{}};
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 

@@ -80,7 +80,7 @@ PairedRuns run_paired(graph::NodeId n, double p, std::uint64_t seed,
                       std::uint32_t trials, const ProtocolFactory& factory,
                       Round max_rounds) {
   McSpec imp = base_spec(seed, trials, factory, max_rounds);
-  imp.implicit_gnp = harness::ImplicitGnpParams{n, p};
+  imp.implicit_gnp = sim::ImplicitGnp{n, p, Rng{}};
 
   McSpec exp = base_spec(seed, trials, factory, max_rounds);
   exp.make_sequence = [n, p](std::uint32_t, Rng rng) {

@@ -532,7 +532,7 @@ TEST(ThreadInvariance, MonteCarloRoundParallelMatchesSerial) {
   harness::McSpec spec;
   spec.trials = 1;
   spec.seed = 0xC0FFEE;
-  spec.implicit_gnp = harness::ImplicitGnpParams{n, p};
+  spec.implicit_gnp = sim::ImplicitGnp{n, p, Rng{}};
   spec.make_protocol = [p](const graph::Digraph&, std::uint32_t) {
     return std::make_unique<BroadcastRandomProtocol>(
         BroadcastRandomParams{.p = p});

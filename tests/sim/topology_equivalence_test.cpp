@@ -55,7 +55,7 @@ PairedRuns run_paired(std::uint32_t n, double p, std::uint32_t trials) {
 
   McSpec implicit_spec = base_spec(n, p, trials);
   implicit_spec.implicit_gnp =
-      harness::ImplicitGnpParams{static_cast<graph::NodeId>(n), p};
+      sim::ImplicitGnp{static_cast<graph::NodeId>(n), p, Rng{}};
 
   return {harness::run_monte_carlo(csr_spec),
           harness::run_monte_carlo(implicit_spec)};

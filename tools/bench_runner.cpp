@@ -261,27 +261,16 @@ struct BatchNumbers {
 /// in the result bytes (see tests/harness/batch_test.cpp for the
 /// per-property pins; this is the in-CI end-to-end gate).
 BatchNumbers time_batch(bool quick) {
+  // A fixed horizon keeps censored trials cheap, and tol 0.1 converges at
+  // a proper prefix of the budget, so the tracked numbers exercise early
+  // stopping rather than just exhaustion.
   std::vector<rh::BatchSpec> specs;
-  const rh::BatchFamily families[] = {
-      rh::BatchFamily::kCsr, rh::BatchFamily::kImplicitGnp,
-      rh::BatchFamily::kImplicitDynamic, rh::BatchFamily::kImplicitRgg};
-  for (const auto family : families)
-    for (const char* protocol : {"alg1", "flooding"})
-      for (const std::uint32_t n : {256u, 512u}) {
-        rh::BatchSpec spec;
-        spec.protocol = protocol;
-        spec.family = family;
-        spec.n = n;
-        spec.trials = quick ? 48 : 96;
-        // A fixed horizon keeps censored trials cheap, and tol 0.1
-        // converges at a proper prefix of the budget, so the tracked
-        // numbers exercise early stopping rather than just exhaustion.
-        spec.max_rounds = 256;
-        spec.tol = 0.1;
-        if (family == rh::BatchFamily::kImplicitDynamic) spec.churn = 0.5;
-        spec.validate();
-        specs.push_back(spec);
-      }
+  for (const std::string family : {"csr", "ignp", "idgnp churn=0.5", "irgg"})
+    for (const std::string protocol : {"alg1", "flooding"})
+      for (const char* n : {"256", "512"})
+        specs.push_back(rh::parse_batch_spec(
+            "protocol=" + protocol + " family=" + family + " n=" + n +
+            (quick ? " trials=48" : " trials=96") + " max-rounds=256 tol=0.1"));
 
   BatchNumbers b;
   b.specs = specs.size();
@@ -350,18 +339,10 @@ FaultTolNumbers time_faulttol() {
   namespace fs = std::filesystem;
   FaultTolNumbers f;
   std::vector<rh::BatchSpec> specs;
-  for (const std::uint32_t n : {96u, 128u}) {
-    rh::BatchSpec spec;
-    spec.protocol = "alg1";
-    spec.family = rh::BatchFamily::kImplicitGnp;
-    spec.n = n;
-    spec.trials = 16;
-    spec.max_rounds = 256;
-    spec.tol = 0.0;  // exhaust the budget: several grants per spec
-    spec.seed = 7;
-    spec.validate();
-    specs.push_back(spec);
-  }
+  for (const char* n : {"96", "128"})  // tol=0: several grants per spec
+    specs.push_back(rh::parse_batch_spec(
+        "protocol=alg1 family=ignp trials=16 max-rounds=256 tol=0 seed=7 n=" +
+        std::string(n)));
   f.specs = specs.size();
 
   rh::BatchOptions base;

@@ -5,8 +5,6 @@
 //   radnet_batch --specs - < sweep.specs          (read specs from stdin)
 //   radnet_batch --specs sweep.specs --force-full (diagnostic: no early stop)
 //   radnet_batch --specs sweep.specs --journal run.journal --out results.jsonl
-//   radnet_batch --specs sweep.specs --journal run.journal --out results.jsonl
-//   radnet_batch --specs sweep.specs --journal run.journal --out results.jsonl
 //                --resume                         (continue a killed run)
 //
 // The spec file holds one query per line as whitespace-separated key=value
@@ -16,9 +14,11 @@
 //   protocol=alg2m family=idgnp n=2048 churn=0.5 fail-prob=0.0001 tol=0.02
 //   protocol=eg2005 family=irgg n=1024 radius-mult=2 step=0.125 jammers=0.05
 //
-// Keys: protocol family n p delta q churn fail-prob radius-mult step trials
-//       seed max-rounds tol confidence jammers byzantine energy-budget
-//       fault-schedule          (defaults and semantics: harness/batch.hpp)
+// Keys: protocol family n p delta q churn fail-prob p-amp p-period
+//       radius-mult step source diameter lambda trials seed max-rounds tol
+//       confidence jammers byzantine energy-budget fault-schedule
+//       (defaults and semantics: harness/batch.hpp; protocols: any name in
+//       harness/protocols.hpp)
 //
 // Each converged spec prints one JSON line (to --out, default stdout) in
 // deterministic family-major order, streamed as results settle; progress
