@@ -57,16 +57,6 @@ std::uint64_t CliArgs::get_u64(const std::string& name,
   return static_cast<std::uint64_t>(v);
 }
 
-double CliArgs::get_double(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  RADNET_REQUIRE(end != nullptr && *end == '\0' && !it->second.empty(),
-                 "flag --" + name + " expects a number, got " + it->second);
-  return v;
-}
-
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;

@@ -29,7 +29,6 @@ class CliArgs {
                                      std::int64_t fallback) const;
   [[nodiscard]] std::uint64_t get_u64(const std::string& name,
                                       std::uint64_t fallback) const;
-  [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
  private:

@@ -19,15 +19,17 @@ add_test(NAME cli_golden
                  -P ${CMAKE_CURRENT_SOURCE_DIR}/tests/golden/cli_golden.cmake)
 set_tests_properties(cli_golden PROPERTIES LABELS "tier1")
 
-# Flag values the CLI once accepted silently (wrapped to 32 bits, ignored,
-# or rejected inside a protocol constructor) are rejected naming the flag.
+# Out-of-range flag values are rejected naming the flag, never wrapped to
+# 32 bits, ignored, divided by, or left to fail inside a protocol
+# constructor: one case per flag.
 foreach(case
     "n_overflow|--n is out of range|--topology;ignp;--n;4294967298"
     "max_rounds_overflow|--max-rounds is out of range|--topology;ignp;--n;64;--max-rounds;4294967297"
     "trials_overflow|--trials is out of range|--topology;ignp;--n;64;--trials;4294967297"
     "source_out_of_range|--source must be < n|--topology;ignp;--n;64;--source;64"
     "q_out_of_range|--q must be in|--protocol;fixed;--topology;ignp;--n;64;--q;7"
-    "p_amp_outside_idgnp|--p-amp applies only to the idgnp family|--topology;churn;--n;64;--p-amp;0.5")
+    "p_amp_outside_idgnp|--p-amp applies only to the idgnp family|--topology;churn;--n;64;--p-amp;0.5"
+    "cluster_size_zero|--cluster-size is out of range|--topology;cluster;--n;64;--cluster-size;0")
   string(REPLACE "|" ";" fields "${case}")
   list(GET fields 0 name)
   list(GET fields 1 expected)

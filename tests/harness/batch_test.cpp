@@ -71,8 +71,8 @@ TEST(BatchSpecHashTest, KeyOrderAndSpelledOutDefaultsAreCanonical) {
   const BatchSpec b = parse_batch_spec(
       "seed=7 n=512 family=ignp delta=8 protocol=alg1 trials=256 q=0.5");
   EXPECT_EQ(a.hash(), b.hash());
-  // The keys added after the first spec files hash only when they leave
-  // their defaults; p-period is inert while p-amp is 0.
+  // source, diameter, lambda, p-amp and p-period hash only off their
+  // defaults; p-period is inert while p-amp is 0.
   const BatchSpec c = parse_batch_spec(
       "protocol=alg1 family=ignp n=512 delta=8 seed=7 source=0 diameter=0 "
       "lambda=0 p-amp=0 p-period=32");
@@ -202,7 +202,7 @@ TEST(BatchSpecParseTest, CommentsAndBlankLinesAreSkipped) {
 }
 
 TEST(BatchRunTest, CliOnlyProtocolsRunFromSpecLines) {
-  // alg2, alg3, cr and tdma were radnet_cli-only before the protocol table.
+  // The table entries no other test in this file runs from a spec line.
   for (const char* protocol : {"alg2", "alg3", "cr", "tdma"}) {
     const auto specs = std::vector<BatchSpec>{parse_batch_spec(
         std::string("protocol=") + protocol + " family=csr n=64 trials=4")};

@@ -15,7 +15,7 @@ TEST(CliArgsTest, SpaceAndEqualsForms) {
   const auto args =
       parse({"--n", "42", "--p=0.5", "--name", "hello"}, {"n", "p", "name"});
   EXPECT_EQ(args.get_int("n", 0), 42);
-  EXPECT_DOUBLE_EQ(args.get_double("p", 0.0), 0.5);
+  EXPECT_EQ(args.get_string("p", ""), "0.5");
   EXPECT_EQ(args.get_string("name", ""), "hello");
 }
 
@@ -29,7 +29,6 @@ TEST(CliArgsTest, BareFlagIsBooleanTrue) {
 TEST(CliArgsTest, DefaultsWhenAbsent) {
   const auto args = parse({}, {"n"});
   EXPECT_EQ(args.get_int("n", 7), 7);
-  EXPECT_DOUBLE_EQ(args.get_double("n", 2.5), 2.5);
   EXPECT_EQ(args.get_string("n", "dflt"), "dflt");
   EXPECT_FALSE(args.get_bool("n", false));
 }
@@ -48,10 +47,8 @@ TEST(CliArgsTest, UnknownFlagThrows) {
 }
 
 TEST(CliArgsTest, MalformedValuesThrow) {
-  const auto args = parse({"--n", "abc", "--x", "1.5zz", "--b", "maybe"},
-                          {"n", "x", "b"});
+  const auto args = parse({"--n", "abc", "--b", "maybe"}, {"n", "b"});
   EXPECT_THROW((void)args.get_int("n", 0), std::invalid_argument);
-  EXPECT_THROW((void)args.get_double("x", 0.0), std::invalid_argument);
   EXPECT_THROW((void)args.get_bool("b", false), std::invalid_argument);
 }
 

@@ -166,8 +166,10 @@ int main(int argc, char** argv) {
       // One representative instance for the measured (nodes, p, D).
       spec.family = harness::BatchFamily::kCsr;
       const std::uint64_t cluster_size = args.get_u64("cluster-size", 16);
-      RADNET_REQUIRE(cluster_size >= 1 && cluster_size <= UINT32_MAX,
-                     "--cluster-size is out of range");
+      RADNET_REQUIRE(
+          cluster_size >= 1 &&
+              cluster_size <= std::numeric_limits<graph::NodeId>::max(),
+          "--cluster-size is out of range");
       gen = Generator{topo, n, p, spec.radius_mult, spec.diameter,
                       static_cast<graph::NodeId>(cluster_size)};
       Rng probe_rng(spec.seed);
