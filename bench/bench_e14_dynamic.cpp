@@ -18,19 +18,16 @@
 // DynamicCsrTopology rebuilds; --topology=implicit runs (a)'s churn sweep
 // graph-free on sim::ImplicitDynamicGnp, adds an implicit mobility row to
 // (b) on sim::ImplicitRgg (same staleness metrics, side by side with the
-// explicit oracle), and appends (c): a single n = 10^7 mobility-gossip
-// trial run graph-free in a forked child under a 4 GiB RLIMIT_AS — a
-// topology whose explicit per-round CSR rebuild (~5·10^8 directed edges)
-// cannot even allocate there. Statistical equivalence of the two mobility
-// backends is pinned by tests/sim/rgg_topology_equivalence_test.cpp.
-#include <chrono>
+// explicit oracle). Statistical equivalence of the two mobility backends is
+// pinned by tests/sim/rgg_topology_equivalence_test.cpp; the n = 10^7
+// mobility broadcast under a 4 GiB cap is a radnet_batch command (README
+// "Memory ceilings").
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <iostream>
 
 #include "core/broadcast_general.hpp"
-#include "core/broadcast_random.hpp"
 #include "core/dynamic_gossip.hpp"
 #include "graph/dynamics.hpp"
 #include "graph/generators.hpp"
@@ -46,42 +43,6 @@ namespace {
 using radnet::Rng;
 using radnet::Sample;
 using radnet::Table;
-
-// (c): the graph-free n = 10^7 mobility trial. Mean degree 50 puts the
-// explicit rebuild at ~5*10^8 directed edges (~4 GB for the edge list
-// alone, before the CSR arrays) — unallocatable under the 4 GiB budget —
-// while the implicit backend holds 16 B/node of positions plus O(cells)
-// grid scratch. The trial is an Algorithm-1 broadcast over a fixed
-// horizon: full completion would need ~1/radius ~ 800 geometric hops, so
-// the tracked quantity is the informed disc after `kHugeHorizon` rounds
-// of frontier growth under mobility.
-constexpr std::uint32_t kHugeN = 10'000'000;
-constexpr double kHugeDegree = 50.0;
-constexpr radnet::sim::Round kHugeHorizon = 256;
-
-int attempt_implicit_rgg_huge() {
-  const double radius =
-      std::sqrt(kHugeDegree / (3.141592653589793 * kHugeN));
-  radnet::core::BroadcastRandomProtocol proto(
-      radnet::core::BroadcastRandomParams{.p = kHugeDegree / kHugeN});
-  radnet::sim::Engine engine;
-  radnet::sim::RunOptions options;
-  options.max_rounds = kHugeHorizon;
-  const auto run = engine.run(
-      radnet::sim::ImplicitRgg{kHugeN, radius, radius / 8.0, Rng(1)}, proto,
-      Rng(2), options);
-  // _exit() skips stream teardown, so flush explicitly.
-  std::cout << "  (rounds: " << run.rounds_executed
-            << ", informed: " << proto.informed_count()
-            << ", deliveries: " << run.ledger.total_deliveries << ")"
-            << std::endl;
-  // The informed disc after kHugeHorizon rounds is a few thousand nodes
-  // (frontier advance is bounded by one radio range per round); anything
-  // below says the broadcast never left the source's neighbourhood.
-  return run.rounds_executed == kHugeHorizon && proto.informed_count() > 1000
-             ? 0
-             : 2;
-}
 
 }  // namespace
 
@@ -236,37 +197,11 @@ int main(int argc, char** argv) {
     radnet::harness::emit_table(env, "e14", "gossip_staleness", t);
   }
 
-  // (c) Mobility at scale — implicit mode only: one n = 10^7 Algorithm-1
-  // broadcast over a fixed mobility horizon, graph-free, inside a
-  // production-container-sized memory budget where the explicit CSR
-  // rebuild cannot even allocate.
-  if (implicit) {
-    std::cout << "\n--- (c) n = 10^7 mobility broadcast under a 4 GiB memory "
-                 "budget ---\n"
-              << "explicit rebuild would hold ~" << kHugeDegree * kHugeN
-              << " directed edges (~4 GB edge list alone); the implicit "
-                 "backend holds 16 B/node of positions.\n";
-    const std::uint64_t limit = 4ull << 30;
-    const auto t0 = std::chrono::steady_clock::now();
-    const int rc =
-        radnet::harness::run_memory_limited(limit, attempt_implicit_rgg_huge);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    std::cout << "implicit mobility broadcast (n=10^7, degree=" << kHugeDegree
-              << ", horizon=" << kHugeHorizon
-              << " rounds): " << (rc == 0 ? "completed" : "FAILED") << " in "
-              << secs << " s (exit " << rc << ")\n";
-    if (rc != 0) return 1;
-  }
-
   std::cout
       << "\nShape check: (a) broadcast success stays ~1 and time degrades\n"
          "gracefully with churn (obliviousness pays off); (b) coverage ~ 1\n"
          "and max staleness stays a small multiple of the static gossip\n"
          "time d*log2 n on every dynamic topology — the continuous-service\n"
-         "property claimed in §3; (c, implicit only) the same mobility model\n"
-         "runs graph-free at n = 10^7 inside a 4 GiB budget where the\n"
-         "explicit per-round rebuild cannot allocate.\n";
+         "property claimed in §3.\n";
   return 0;
 }

@@ -1,17 +1,11 @@
 #include "harness/experiment.hpp"
 
-#include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
-#include <new>
 
 #include "support/cli_args.hpp"
-#include "support/require.hpp"
 
 namespace radnet::harness {
 
@@ -77,39 +71,6 @@ void banner(const std::string& bench_id, const std::string& claim) {
             << bench_id << '\n'
             << claim << '\n'
             << "==============================================================\n\n";
-}
-
-double wilson_half_width(double rate, std::uint64_t trials, double z) {
-  RADNET_REQUIRE(trials >= 1, "wilson_half_width needs trials >= 1");
-  const double n = static_cast<double>(trials);
-  const double z2 = z * z;
-  const double denom = 1.0 + z2 / n;
-  const double center = (rate + z2 / (2.0 * n)) / denom;
-  const double half =
-      z * std::sqrt(rate * (1.0 - rate) / n + z2 / (4.0 * n * n)) / denom;
-  (void)center;
-  return half;
-}
-
-int run_memory_limited(std::uint64_t limit_bytes, int (*attempt)()) {
-  const pid_t pid = fork();
-  if (pid == 0) {
-    rlimit lim{limit_bytes, limit_bytes};
-    setrlimit(RLIMIT_AS, &lim);
-    int rc;
-    try {
-      rc = attempt();
-    } catch (const std::bad_alloc&) {
-      _exit(1);
-    } catch (...) {
-      _exit(2);
-    }
-    _exit(rc);
-  }
-  int status = 0;
-  waitpid(pid, &status, 0);
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  return 3;  // killed (e.g. OOM before bad_alloc could propagate)
 }
 
 }  // namespace radnet::harness

@@ -8,6 +8,10 @@
 //   RADNET_SEED   — overrides the root seed
 //   RADNET_CSV    — when set to a directory, every table is also written
 //                   there as <bench>_<table>.csv
+//
+// Wall time is measured by radbench (radbench/run.py); memory-ceiling runs
+// are `radnet_batch --isolate --isolate-mem-mb M` commands (README "Memory
+// ceilings").
 #pragma once
 
 #include <cstdint>
@@ -48,18 +52,5 @@ void emit_table(const BenchEnv& env, const std::string& bench,
 
 /// A banner line naming the experiment and paper artefact it reproduces.
 void banner(const std::string& bench_id, const std::string& claim);
-
-/// Wilson score interval half-width for a success rate (used to annotate
-/// success-probability columns with sampling error).
-[[nodiscard]] double wilson_half_width(double rate, std::uint64_t trials,
-                                       double z = 1.96);
-
-/// Runs `attempt` in a forked child under an RLIMIT_AS of `limit_bytes` —
-/// the memory-budget demonstrations of bench_e15_topology and
-/// bench_e16_dynamic_scale. Returns the child's exit code: 0 success,
-/// 1 allocation failure (std::bad_alloc), 2 other exception, 3 killed
-/// before an exception could propagate (e.g. OOM).
-[[nodiscard]] int run_memory_limited(std::uint64_t limit_bytes,
-                                     int (*attempt)());
 
 }  // namespace radnet::harness

@@ -1,4 +1,5 @@
-# radnet_cli ctests (tier1), included from the root CMakeLists.txt.
+# radnet_cli and radnet_batch ctests (tier1), included from the root
+# CMakeLists.txt.
 
 # The CLI's default --delta 8 gives delta ln n / n > 1 at n = 16; it must
 # saturate at p = 1 (as batch specs do) rather than fail validation.
@@ -36,5 +37,25 @@ foreach(case
   list(SUBLIST fields 2 -1 argv)
   add_test(NAME cli_rejects_${name} COMMAND radnet_cli ${argv})
   set_tests_properties(cli_rejects_${name} PROPERTIES LABELS "tier1"
+                       PASS_REGULAR_EXPRESSION "${expected}")
+endforeach()
+
+# radnet_batch flags are checked before the spec file is read (the file
+# named here does not exist): an --isolate-mem-mb value whose byte count
+# would wrap, and each --isolate-* tuning flag given without --isolate,
+# are rejected naming the flag instead of silently changing or dropping
+# the cap.
+foreach(case
+    "isolate_mem_mb_overflow|--isolate-mem-mb is out of range|--isolate;--isolate-mem-mb;17592186044416"
+    "isolate_mem_mb_without_isolate|--isolate-mem-mb requires --isolate|--isolate-mem-mb;2048"
+    "isolate_attempts_without_isolate|--isolate-attempts requires --isolate|--isolate-attempts;1"
+    "isolate_timeout_without_isolate|--isolate-timeout-ms requires --isolate|--isolate-timeout-ms;1000")
+  string(REPLACE "|" ";" fields "${case}")
+  list(GET fields 0 name)
+  list(GET fields 1 expected)
+  list(SUBLIST fields 2 -1 argv)
+  add_test(NAME batch_rejects_${name}
+           COMMAND radnet_batch --specs no-such-file.specs --no-cache ${argv})
+  set_tests_properties(batch_rejects_${name} PROPERTIES LABELS "tier1"
                        PASS_REGULAR_EXPRESSION "${expected}")
 endforeach()

@@ -68,19 +68,5 @@ TEST(ExperimentTest, InvalidEnvValuesIgnored) {
   EXPECT_EQ(env.trials_override, 0u);
 }
 
-TEST(ExperimentTest, WilsonHalfWidthShrinksWithTrials) {
-  const double w10 = wilson_half_width(0.9, 10);
-  const double w1000 = wilson_half_width(0.9, 1000);
-  EXPECT_GT(w10, w1000);
-  EXPECT_GT(w10, 0.0);
-  EXPECT_LT(w1000, 0.05);
-}
-
-TEST(ExperimentTest, WilsonHandlesExtremes) {
-  EXPECT_GT(wilson_half_width(1.0, 20), 0.0);  // never exactly zero
-  EXPECT_GT(wilson_half_width(0.0, 20), 0.0);
-  EXPECT_THROW((void)wilson_half_width(0.5, 0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace radnet::harness

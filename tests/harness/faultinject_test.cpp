@@ -57,6 +57,15 @@ std::vector<BatchSpec> tiny_specs() {
   return parse_batch_file(in);
 }
 
+/// Bytes of address space this process has mapped (the first field of
+/// /proc/self/statm, in pages). A forked child starts with all of it.
+std::uint64_t mapped_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t pages = 0;
+  statm >> pages;
+  return pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
 BatchOptions serial_options() {
   BatchOptions options;
   options.threads = 1;  // children fork from this process: stay single-threaded
@@ -432,6 +441,34 @@ TEST_F(FaultInjectTest, IsolatedHangIsReapedByTheWatchdog) {
   EXPECT_NE(outcomes[1].json.find("\"error\":\"timeout\""), std::string::npos);
   // The healthy spec's line is untouched by its sibling's death.
   EXPECT_NE(out.str().find(hex16(specs[0].hash())), std::string::npos);
+}
+
+TEST_F(FaultInjectTest, IsolatedMemoryCapDegradesIntoAnErrorLine) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer shadow maps cannot live under RLIMIT_AS";
+#endif
+  // The csr spec reserves ~1.2 GB of edges up front, several times the
+  // 256 MiB the cap leaves above what the child inherits; the ignp
+  // sibling needs a few kilobytes.
+  std::istringstream in(
+      "protocol=alg1 family=csr n=16384 p=0.5 trials=1 seed=5\n"
+      "protocol=alg1 family=ignp n=128 delta=8 trials=24 seed=7\n");
+  const auto specs = parse_batch_file(in);
+  const std::string sibling = run_to_string({specs[1]}, serial_options());
+  BatchOptions options = serial_options();
+  options.isolate = true;
+  options.isolate_attempts = 1;
+  options.isolate_mem_bytes = mapped_bytes() + (256ull << 20);
+  std::ostringstream out;
+  BatchStats stats;
+  const auto outcomes = run_batch(specs, options, out, &stats);
+  EXPECT_EQ(stats.spec_errors, 1u);
+  ASSERT_TRUE(outcomes[0].error);
+  EXPECT_FALSE(outcomes[1].error);
+  EXPECT_EQ(outcomes[0].json, batch_error_json(specs[0], "error", 1));
+  // Family-major order puts the csr error line first; the sibling's line
+  // is byte-identical to its in-process run.
+  EXPECT_EQ(out.str(), outcomes[0].json + "\n" + sibling);
 }
 
 TEST_F(FaultInjectTest, StartupSweepReapsDeadRunsDebrisButNotLiveTemps) {

@@ -93,25 +93,13 @@ int main(int argc, char** argv) {
              "                    [--isolate-attempts N]   default 3\n"
              "                    [--isolate-timeout-ms T] default 300000\n"
              "                    [--isolate-mem-mb M]     RLIMIT_AS cap,\n"
-             "                    default unlimited\n"
+             "                    default unlimited (the three\n"
+             "                    --isolate-* flags require --isolate)\n"
              "exit codes: 0 ok, 1 error, 75 interrupted (resumable)\n"
              "spec lines: key=value tokens; see tools/radnet_batch.cpp "
              "header\n";
       return 0;
     }
-
-    const std::string specs_path = args.get_string("specs", "");
-    RADNET_REQUIRE(!specs_path.empty(), "--specs FILE is required");
-    std::vector<harness::BatchSpec> specs;
-    if (specs_path == "-") {
-      specs = harness::parse_batch_file(std::cin);
-    } else {
-      std::ifstream in(specs_path);
-      RADNET_REQUIRE(static_cast<bool>(in),
-                     "cannot open spec file '" + specs_path + "'");
-      specs = harness::parse_batch_file(in);
-    }
-    RADNET_REQUIRE(!specs.empty(), "spec file holds no specs");
 
     harness::BatchOptions options;
     options.cache_dir = args.get_bool("no-cache", false)
@@ -131,6 +119,10 @@ int main(int argc, char** argv) {
     RADNET_REQUIRE(!options.resume || !options.journal_path.empty(),
                    "--resume requires --journal FILE");
     options.isolate = args.get_bool("isolate", false);
+    for (const char* flag :
+         {"isolate-attempts", "isolate-timeout-ms", "isolate-mem-mb"})
+      RADNET_REQUIRE(options.isolate || !args.has(flag),
+                     std::string("--") + flag + " requires --isolate");
     const std::uint64_t attempts = args.get_u64("isolate-attempts", 3);
     RADNET_REQUIRE(attempts >= 1 && attempts <= 100,
                    "--isolate-attempts must be in [1, 100]");
@@ -139,8 +131,26 @@ int main(int argc, char** argv) {
     RADNET_REQUIRE(timeout_ms <= 86'400'000,
                    "--isolate-timeout-ms must be <= 86400000");
     options.isolate_timeout_ms = static_cast<std::uint32_t>(timeout_ms);
-    options.isolate_mem_bytes = args.get_u64("isolate-mem-mb", 0) << 20;
+    // The cap is applied in bytes: any M at or above 2^44 would wrap.
+    const std::uint64_t mem_mb = args.get_u64("isolate-mem-mb", 0);
+    RADNET_REQUIRE(mem_mb < (1ull << 44),
+                   "--isolate-mem-mb is out of range (must be < 2^44)");
+    options.isolate_mem_bytes = mem_mb << 20;
     options.cancel = &g_cancel;
+
+    // Flags are all checked above, before the spec file is read.
+    const std::string specs_path = args.get_string("specs", "");
+    RADNET_REQUIRE(!specs_path.empty(), "--specs FILE is required");
+    std::vector<harness::BatchSpec> specs;
+    if (specs_path == "-") {
+      specs = harness::parse_batch_file(std::cin);
+    } else {
+      std::ifstream in(specs_path);
+      RADNET_REQUIRE(static_cast<bool>(in),
+                     "cannot open spec file '" + specs_path + "'");
+      specs = harness::parse_batch_file(in);
+    }
+    RADNET_REQUIRE(!specs.empty(), "spec file holds no specs");
 
     // Journaled runs stop cleanly on the usual terminal signals; without a
     // journal there is nothing to commit, so default signal disposition
