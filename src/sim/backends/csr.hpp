@@ -25,19 +25,22 @@
 //     dense rounds. Cost O(n · 2/f) expected, f = transmitting fraction.
 //
 // Parallel decomposition (no RNG is involved anywhere, so bit-identity at
-// any thread count holds by construction):
+// any thread count holds by construction). Both listener-block sweeps run
+// through the one block fan-out of sim/sharding.hpp (BlockSweep):
 //
 //   * The in-neighbour scan is listener-parallel as-is: the graph and the
 //     transmitter bitset are read-only, so listener blocks scan
-//     independently into private ShardBuffers, merged in block order.
-//   * The counter paths scatter-gather: transmitter chunks first partition
-//     their out-edges into per-(chunk, listener-block) segments (two CSR
-//     walks: count, then fill), then listener blocks gather their segments
-//     into the per-block slices of the shared hit array — blocks own
-//     disjoint listener ranges, so no two threads ever touch the same
+//     independently, on the pool or inline.
+//   * The pooled counter paths scatter-gather: transmitter chunks first
+//     partition their out-edges into per-(chunk, listener-block) segments
+//     (two CSR walks: count, then fill), then listener blocks gather their
+//     segments into the per-block slices of the shared hit array — blocks
+//     own disjoint listener ranges, so no two threads ever touch the same
 //     counter — and emit their events in ascending listener order. Hit
 //     counts are order-independent sums and a single-hit receiver's sender
-//     is unique, so the merged stream equals the serial one exactly.
+//     is unique, so the merged stream equals the serial one exactly. The
+//     serial counter path is one block over the whole range: a single
+//     edge walk, cheaper on one core than scatter-gather.
 //
 // The per-round strategy choice (kAuto) is thread-count-aware: with a pool
 // attached the bitset-scan threshold halves (the counter path pays a second
@@ -90,12 +93,6 @@ class CsrDelivery {
                const std::optional<std::span<const NodeId>>& attentive,
                bool collisions_inert, Sink& sink) {
     const NodeId n = g.num_nodes();
-    const AttentiveFlags* inert_deliveries = nullptr;
-    if (attentive.has_value()) {
-      att_flags_.set_round(n, *attentive);
-      inert_deliveries = &att_flags_;
-    }
-
     const unsigned width = pool_ == nullptr ? 1u : pool_->size() + 1;
     const unsigned shift = csr_block_shift(n, width);
     const std::uint64_t blocks =
@@ -126,29 +123,32 @@ class CsrDelivery {
     // measured small-n regression regime). The gate only picks a
     // schedule — output is identical either way.
     const std::uint64_t round_work = in_scan ? n : load;
-    const bool parallel = par_capable && round_work >= kMinParallelRoundWork;
+    ThreadPool* const pool =
+        par_capable && round_work >= kMinParallelRoundWork ? pool_ : nullptr;
+    const auto sweep = [&](std::uint64_t sweep_blocks, const auto& body) {
+      sweep_.run(pool, sweep_blocks, collisions_inert, attentive, n, sink,
+                 RecordNone{}, body);
+    };
 
-    if (parallel) {
-      if (in_scan)
-        in_neighbor_scan_parallel(g, transmitters, is_tx, half_duplex, shift,
-                                  blocks, inert_deliveries, collisions_inert,
-                                  sink);
-      else
-        counter_paths_parallel(g, transmitters, is_tx, half_duplex, path,
-                               load, shift, blocks, inert_deliveries,
-                               collisions_inert, sink);
+    if (in_scan) {
+      for (const NodeId u : transmitters) tx_bits_.set(u);
+      sweep(blocks, [&](std::uint64_t b, auto& em) {
+        const auto [lo, hi] = block_range(b, std::uint64_t{1} << shift, n);
+        in_scan_block(g, is_tx, half_duplex, lo, hi, em);
+      });
+      for (const NodeId u : transmitters) tx_bits_.reset(u);
+    } else if (pool != nullptr) {
+      const std::uint64_t chunks =
+          scatter(g, transmitters, load, shift, blocks);
+      sweep(blocks, [&](std::uint64_t b, auto& em) {
+        gather_block(b, chunks, shift, n, is_tx, half_duplex, path, em);
+      });
     } else {
-      RecordNone record;
-      DirectEmitter<Sink, RecordNone> em{sink, record, collisions_inert,
-                                         inert_deliveries};
-      if (in_scan)
-        in_neighbor_scan(g, transmitters, is_tx, half_duplex, em);
-      else
+      // The serial counter path: one block, one edge walk (file comment).
+      sweep(1, [&](std::uint64_t, auto& em) {
         counter_paths(g, transmitters, is_tx, half_duplex, path, em);
-      em.flush_block();
+      });
     }
-
-    if (attentive.has_value()) att_flags_.clear_round(*attentive);
   }
 
  private:
@@ -184,18 +184,13 @@ class CsrDelivery {
     touched_.clear();
   }
 
-  /// The parallel counter path: scatter, gather, merge (see the file
-  /// comment). `load` is the precomputed sum of transmitter out-degrees.
-  template <class Sink>
-  void counter_paths_parallel(const graph::Digraph& g,
-                              std::span<const NodeId> transmitters,
-                              const std::vector<char>& is_tx,
-                              bool half_duplex, DeliveryPath path,
-                              std::uint64_t load, unsigned shift,
-                              std::uint64_t blocks,
-                              const AttentiveFlags* inert_deliveries,
-                              bool inert_collisions, Sink& sink) {
-    const NodeId n = g.num_nodes();
+  /// Phase 1 of the pooled counter path (file comment): partitions every
+  /// transmitter chunk's out-edges into per-(chunk, block) segments and
+  /// returns the chunk count. `load` is the sum of transmitter out-degrees.
+  std::uint64_t scatter(const graph::Digraph& g,
+                        std::span<const NodeId> transmitters,
+                        std::uint64_t load, unsigned shift,
+                        std::uint64_t blocks) {
     const std::uint64_t k = transmitters.size();
 
     // Cut the transmitter list into contiguous chunks of roughly equal
@@ -219,14 +214,13 @@ class CsrDelivery {
     chunk_starts_.push_back(k);
     const std::uint64_t chunks = chunk_starts_.size() - 1;
 
-    // Phase 1 (parallel over transmitter chunks): partition each chunk's
-    // out-edges into per-(chunk, block) segments — one counting walk, one
-    // filling walk over the CSR rows.
+    // Parallel over transmitter chunks: one counting walk, one filling walk
+    // over the CSR rows.
     if (scatter_.size() < chunks) {
       scatter_.resize(chunks);
       scatter_off_.resize(chunks);
     }
-    pool_->parallel_for_index(chunks, [&](std::uint64_t c) {
+    run_chunked(pool_, chunks, [&](std::uint64_t c) {
       auto& seg = scatter_[c];
       auto& off = scatter_off_[c];
       off.assign(blocks + 1, 0);
@@ -243,54 +237,46 @@ class CsrDelivery {
         for (const NodeId w : g.out_neighbors(u))
           seg[off[w >> shift]++] = {w, u};
     });
-
-    // Phase 2 (parallel over listener blocks): gather the block's segments
-    // into its private slice of the shared hit array — disjoint ranges, no
-    // synchronisation — and emit events in ascending listener order into
-    // the block's buffer. The emit-order strategy is chosen per block from
-    // the block's own touched count.
-    if (buffers_.size() < blocks) buffers_.resize(blocks);
     if (touched_blocks_.size() < blocks) touched_blocks_.resize(blocks);
-    const InBlockDeliveries in_block = in_block_deliveries(sink);
-    const auto gather = [&](std::uint64_t b) {
-      ShardBuffer& buf = buffers_[b];
-      buf.clear();
-      BufferEmitter em{buf, /*want_records=*/false, inert_collisions,
-                       inert_deliveries, in_block};
-      const NodeId lo = static_cast<NodeId>(b << shift);
-      const NodeId hi = static_cast<NodeId>(
-          std::min<std::uint64_t>(n, (b + 1) << shift));
-      auto& touched = touched_blocks_[b];
-      touched.clear();
-      for (std::uint64_t c = 0; c < chunks; ++c) {
-        const auto& seg = scatter_[c];
-        const auto& off = scatter_off_[c];
-        // off[b] slid to the end of segment b during the scatter fill.
-        for (std::uint64_t i = b == 0 ? 0 : off[b - 1]; i < off[b]; ++i) {
-          const auto [w, u] = seg[i];
-          if (hits_[w] == 0) {
-            heard_from_[w] = u;
-            touched.push_back(w);
-          }
-          ++hits_[w];
-        }
-      }
-      const bool scan =
-          path == DeliveryPath::kLinearScan ||
-          (path == DeliveryPath::kAuto && touched.size() > (hi - lo) / 8u);
-      if (scan) {
-        for (NodeId w = lo; w < hi; ++w)
-          if (hits_[w] != 0) emit_counted(w, is_tx, half_duplex, em);
-      } else {
-        std::sort(touched.begin(), touched.end());
-        for (const NodeId w : touched) emit_counted(w, is_tx, half_duplex, em);
-      }
-      touched.clear();
-    };
-    pool_->parallel_for_index(blocks, std::cref(gather));
+    return chunks;
+  }
 
-    merge_shard_buffers(std::span<const ShardBuffer>(buffers_.data(), blocks),
-                        sink, RecordNone{});
+  /// Phase 2 of the pooled counter path, one listener block: gathers the
+  /// block's segments into its private slice of the shared hit array —
+  /// disjoint ranges, no synchronisation — and emits events in ascending
+  /// listener order. The emit-order strategy is chosen per block from the
+  /// block's own touched count.
+  template <class Emitter>
+  void gather_block(std::uint64_t b, std::uint64_t chunks, unsigned shift,
+                    NodeId n, const std::vector<char>& is_tx,
+                    bool half_duplex, DeliveryPath path, Emitter& em) {
+    const auto [lo, hi] = block_range(b, std::uint64_t{1} << shift, n);
+    auto& touched = touched_blocks_[b];
+    touched.clear();
+    for (std::uint64_t c = 0; c < chunks; ++c) {
+      const auto& seg = scatter_[c];
+      const auto& off = scatter_off_[c];
+      // off[b] slid to the end of segment b during the scatter fill.
+      for (std::uint64_t i = b == 0 ? 0 : off[b - 1]; i < off[b]; ++i) {
+        const auto [w, u] = seg[i];
+        if (hits_[w] == 0) {
+          heard_from_[w] = u;
+          touched.push_back(w);
+        }
+        ++hits_[w];
+      }
+    }
+    const bool scan =
+        path == DeliveryPath::kLinearScan ||
+        (path == DeliveryPath::kAuto && touched.size() > (hi - lo) / 8u);
+    if (scan) {
+      for (NodeId w = lo; w < hi; ++w)
+        if (hits_[w] != 0) emit_counted(w, is_tx, half_duplex, em);
+    } else {
+      std::sort(touched.begin(), touched.end());
+      for (const NodeId w : touched) emit_counted(w, is_tx, half_duplex, em);
+    }
+    touched.clear();
   }
 
   /// Emits receiver w's event from its accumulated hit count and resets
@@ -332,51 +318,12 @@ class CsrDelivery {
     }
   }
 
-  template <class Emitter>
-  void in_neighbor_scan(const graph::Digraph& g,
-                        std::span<const NodeId> transmitters,
-                        const std::vector<char>& is_tx, bool half_duplex,
-                        Emitter& em) {
-    for (const NodeId u : transmitters) tx_bits_.set(u);
-    in_scan_block(g, is_tx, half_duplex, 0, g.num_nodes(), em);
-    for (const NodeId u : transmitters) tx_bits_.reset(u);
-  }
-
-  template <class Sink>
-  void in_neighbor_scan_parallel(const graph::Digraph& g,
-                                 std::span<const NodeId> transmitters,
-                                 const std::vector<char>& is_tx,
-                                 bool half_duplex, unsigned shift,
-                                 std::uint64_t blocks,
-                                 const AttentiveFlags* inert_deliveries,
-                                 bool inert_collisions, Sink& sink) {
-    const NodeId n = g.num_nodes();
-    for (const NodeId u : transmitters) tx_bits_.set(u);
-    if (buffers_.size() < blocks) buffers_.resize(blocks);
-    const InBlockDeliveries in_block = in_block_deliveries(sink);
-    const auto body = [&](std::uint64_t b) {
-      ShardBuffer& buf = buffers_[b];
-      buf.clear();
-      BufferEmitter em{buf, /*want_records=*/false, inert_collisions,
-                       inert_deliveries, in_block};
-      const NodeId lo = static_cast<NodeId>(b << shift);
-      const NodeId hi = static_cast<NodeId>(
-          std::min<std::uint64_t>(n, (b + 1) << shift));
-      in_scan_block(g, is_tx, half_duplex, lo, hi, em);
-    };
-    pool_->parallel_for_index(blocks, std::cref(body));
-    merge_shard_buffers(std::span<const ShardBuffer>(buffers_.data(), blocks),
-                        sink, RecordNone{});
-    for (const NodeId u : transmitters) tx_bits_.reset(u);
-  }
-
   std::vector<std::uint32_t> hits_;
   std::vector<NodeId> heard_from_;
   std::vector<NodeId> touched_;
   Bitset tx_bits_;
   ThreadPool* pool_ = nullptr;
-  AttentiveFlags att_flags_;
-  std::vector<ShardBuffer> buffers_;  ///< per-block output, reused per round
+  BlockSweep sweep_;  ///< the block fan-out and its per-block scratch
   std::vector<std::vector<NodeId>> touched_blocks_;  ///< per-block touched
   std::vector<std::uint64_t> chunk_starts_;  ///< transmitter chunk cuts
   /// Per-chunk scatter segments, block-partitioned by scatter_off_.

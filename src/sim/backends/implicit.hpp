@@ -20,10 +20,9 @@
 // Each (round, block) derives a private Rng by counter keying (StreamKey in
 // support/rng.hpp) — never from a shared sequential stream — so blocks can
 // execute on the thread pool in any order and still produce bit-identical
-// results for any thread count. Blocks buffer their events (and
-// resolved-pair records) into the ShardBuffers of sim/sharding.hpp, merged
-// serially in ascending listener order into the engine sink, or apply
-// receiver-local deliveries in place (sim/sharding.hpp).
+// results for any thread count. The blocks run through the one block
+// fan-out of sim/sharding.hpp (BlockSweep), which owns the buffering, the
+// ascending-listener merge and the in-place receiver-local deliveries.
 #pragma once
 
 #include <algorithm>
@@ -31,7 +30,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "sim/sharding.hpp"
@@ -112,7 +110,9 @@ class GnpSampler {
   /// states (churn == 1): its Record hook is then a runtime no-op, and
   /// buffering resolutions for it would be pure overhead. Purely a
   /// buffering knob — the serial path calls the hook either way.
-  void set_records_enabled(bool enabled) { records_enabled_ = enabled; }
+  void set_records_enabled(bool enabled) {
+    blocks_.set_records_enabled(enabled);
+  }
 
   /// Forks the round's key; must be called once per round before deliver.
   void begin_round(std::uint32_t round) {
@@ -266,11 +266,6 @@ class GnpSampler {
              Record&& record) {
     const std::uint64_t k = transmitters.size();
     if (k == 0 || p_ <= 0.0) return;
-    const AttentiveFlags* inert_deliveries = nullptr;
-    if (attentive.has_value()) {
-      att_flags_.set_round(n_, *attentive);
-      inert_deliveries = &att_flags_;
-    }
     // Expected hits per listener is k*p. Sparse rounds (well under one hit
     // per listener) enumerate the Bernoulli(p) pair grid by geometric
     // skipping — O(expected hits). Dense rounds classify each listener as
@@ -283,48 +278,19 @@ class GnpSampler {
     // (never per block — pinned by outcome_probs_evals()).
     DensePlan plan;
     if (!sparse && p_ < 1.0) plan = dense_plan(k, half_duplex);
-    const std::uint64_t blocks = block_count(n_, kShardBlockSize);
-    const auto run_block = [&](std::uint64_t b, auto& em,
-                               const StreamKey& block_key) {
-      const NodeId lo = static_cast<NodeId>(b * kShardBlockSize);
-      const NodeId hi = static_cast<NodeId>(std::min<std::uint64_t>(
-          n_, (b + 1) * static_cast<std::uint64_t>(kShardBlockSize)));
-      if (sparse) {
-        Rng rng = block_key.make_rng();
-        pair_grid_block(lo, hi, rng, transmitters, is_tx, half_duplex, em,
-                        skip);
-      } else {
-        binomial_block(lo, hi, block_key, plan, transmitters, is_tx,
-                       half_duplex, em, skip);
-      }
-    };
-    if (pool_ != nullptr && blocks > 1) {
-      const bool want_records = wants_records<Record>();
-      const InBlockDeliveries in_block = in_block_deliveries(sink);
-      if (buffers_.size() < blocks) buffers_.resize(blocks);
-      // std::cref keeps the std::function the pool receives in its inline
-      // storage: no per-round allocation however much the body captures.
-      const auto body = [&](std::uint64_t b) {
-        ShardBuffer& buf = buffers_[b];
-        buf.clear();
-        BufferEmitter em{buf, want_records, collisions_inert,
-                         inert_deliveries, in_block};
-        run_block(b, em, round_key_.fork(b));
-      };
-      pool_->parallel_for_index(blocks, std::cref(body));
-      merge_shard_buffers(std::span<const ShardBuffer>(buffers_.data(), blocks),
-                          sink, record);
-    } else {
-      // Serial schedule: same blocks, same per-block keyed streams, but
-      // events flow straight to the sink — no buffering, no replay.
-      DirectEmitter<Sink, std::remove_reference_t<Record>> em{
-          sink, record, collisions_inert, inert_deliveries};
-      for (std::uint64_t b = 0; b < blocks; ++b) {
-        run_block(b, em, round_key_.fork(b));
-        em.flush_block();
-      }
-    }
-    if (attentive.has_value()) att_flags_.clear_round(*attentive);
+    blocks_.run(pool_, block_count(n_, kShardBlockSize), collisions_inert,
+                attentive, n_, sink, record, [&](std::uint64_t b, auto& em) {
+                  const auto [lo, hi] = block_range(b, kShardBlockSize, n_);
+                  const StreamKey block_key = round_key_.fork(b);
+                  if (sparse) {
+                    Rng rng = block_key.make_rng();
+                    pair_grid_block(lo, hi, rng, transmitters, is_tx,
+                                    half_duplex, em, skip);
+                  } else {
+                    binomial_block(lo, hi, block_key, plan, transmitters,
+                                   is_tx, half_duplex, em, skip);
+                  }
+                });
   }
 
   /// O(|attentive| + k) round, block-sharded over the hint's span:
@@ -348,56 +314,29 @@ class GnpSampler {
         half_duplex ? OutcomeProbs{} : outcome_probs(k - 1);
 
     const std::uint64_t m = attentive.size();
-    const std::uint64_t blocks = (m + kShardBlockSize - 1) / kShardBlockSize;
+    const std::uint64_t blocks = block_count(m, kShardBlockSize);
+    if (att_counts_.size() < blocks) att_counts_.resize(blocks);
+    const StreamKey att_key = round_key_.fork(kAttentiveLane);
+    blocks_.run(
+        pool_, blocks, collisions_inert, std::nullopt, n_, sink, record,
+        [&](std::uint64_t b, auto& em) {
+          Rng rng = att_key.fork(b).make_rng();
+          const auto [lo, hi] = block_range(b, kShardBlockSize, m);
+          std::uint64_t nontx = 0, txc = 0;
+          for (std::uint64_t i = lo; i < hi; ++i) {
+            const NodeId v = attentive[static_cast<std::size_t>(i)];
+            if (skip(v)) continue;
+            const bool tx = is_tx[v] != 0;
+            if (tx && half_duplex) continue;
+            ++(tx ? txc : nontx);
+            classify(v, tx, probs, probs_tx, transmitters, em, rng);
+          }
+          att_counts_[b] = {nontx, txc};
+        });
     std::uint64_t att_nontx = 0, att_tx = 0;
-    if (m > 0) {
-      const StreamKey att_key = round_key_.fork(kAttentiveLane);
-      const auto run_chunk = [&](std::uint64_t b, auto& em, Rng& rng) {
-        const std::uint64_t lo = b * kShardBlockSize;
-        const std::uint64_t hi =
-            std::min<std::uint64_t>(m, lo + kShardBlockSize);
-        std::uint64_t nontx = 0, txc = 0;
-        for (std::uint64_t i = lo; i < hi; ++i) {
-          const NodeId v = attentive[static_cast<std::size_t>(i)];
-          if (skip(v)) continue;
-          const bool tx = is_tx[v] != 0;
-          if (tx && half_duplex) continue;
-          ++(tx ? txc : nontx);
-          classify(v, tx, probs, probs_tx, transmitters, em, rng);
-        }
-        return std::pair<std::uint64_t, std::uint64_t>{nontx, txc};
-      };
-      if (pool_ != nullptr && blocks > 1) {
-        const bool want_records = wants_records<Record>();
-        const InBlockDeliveries in_block = in_block_deliveries(sink);
-        if (buffers_.size() < blocks) buffers_.resize(blocks);
-        if (att_counts_.size() < blocks) att_counts_.resize(blocks);
-        const auto body = [&](std::uint64_t b) {
-          ShardBuffer& buf = buffers_[b];
-          buf.clear();
-          BufferEmitter em{buf, want_records, collisions_inert,
-                           /*inert_deliveries=*/nullptr, in_block};
-          Rng rng = att_key.fork(b).make_rng();
-          att_counts_[b] = run_chunk(b, em, rng);
-        };
-        pool_->parallel_for_index(blocks, std::cref(body));
-        merge_shard_buffers(std::span<const ShardBuffer>(buffers_.data(), blocks),
-                            sink, record);
-        for (std::uint64_t b = 0; b < blocks; ++b) {
-          att_nontx += att_counts_[b].first;
-          att_tx += att_counts_[b].second;
-        }
-      } else {
-        DirectEmitter<Sink, std::remove_reference_t<Record>> em{
-            sink, record, collisions_inert};
-        for (std::uint64_t b = 0; b < blocks; ++b) {
-          Rng rng = att_key.fork(b).make_rng();
-          const auto counts = run_chunk(b, em, rng);
-          em.flush_block();
-          att_nontx += counts.first;
-          att_tx += counts.second;
-        }
-      }
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+      att_nontx += att_counts_[b].first;
+      att_tx += att_counts_[b].second;
     }
     // The silent majority: all remaining listeners, by eligible
     // transmitter count.
@@ -434,16 +373,6 @@ class GnpSampler {
   }
 
  private:
-  /// Whether `Record` actually stores resolutions: RecordNone never does
-  /// (the static backend), and the dynamic backend declares its hook a
-  /// no-op via set_records_enabled(false) at churn == 1. Blocks then skip
-  /// buffering pairs entirely.
-  template <class Record>
-  [[nodiscard]] bool wants_records() const {
-    return records_enabled_ &&
-           !std::is_same_v<std::remove_cvref_t<Record>, RecordNone>;
-  }
-
   /// Draws one listener's outcome from its three-way distribution and
   /// emits the matching event (nothing / delivery / collision). The single
   /// classification step shared by the attentive path and the dense sweep;
@@ -633,9 +562,7 @@ class GnpSampler {
   StreamKey round_key_;  ///< key_.fork(round), re-forked every begin_round
   Rng lane_rng_;         ///< serial attentive/aggregate stream for the round
   ThreadPool* pool_ = nullptr;
-  bool records_enabled_ = true;
-  AttentiveFlags att_flags_;          ///< swept rounds' attentive mask
-  std::vector<ShardBuffer> buffers_;  ///< per-block scratch, reused per round
+  BlockSweep blocks_;  ///< the block fan-out and its per-block scratch
   /// Per-chunk (non-tx, tx) attentive-listener counts, merged serially.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> att_counts_;
 };

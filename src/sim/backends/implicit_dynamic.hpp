@@ -428,17 +428,6 @@ class ImplicitDynamicGnpTopology {
     std::uint64_t tx = 0;     ///< classify: transmitting pinned groups
   };
 
-  /// The current phase's shared inputs, stashed so the pool fan-out lambda
-  /// captures only `this` (see gather_chunk). Valid for the duration of
-  /// one gather_pinned / classify_pinned call.
-  struct SketchPhase {
-    std::span<const NodeId> tx;
-    const std::vector<char>* is_tx = nullptr;
-    bool half_duplex = false;
-    StreamKey gather_key;    ///< churn_key_.fork(round)
-    StreamKey classify_key;  ///< churn_key_.fork(round).fork(kClassifyLane)
-  };
-
   template <class Sink>
   void emit(const PinnedEvent& e, Sink& sink) const {
     if (e.is_delivery)
@@ -501,12 +490,10 @@ class ImplicitDynamicGnpTopology {
     const std::uint64_t chunks =
         detail::block_count(tx.size(), kSketchChunkSize);
     if (shards_.size() < chunks) shards_.resize(chunks);
-    sketch_phase_.tx = tx;
-    sketch_phase_.is_tx = &is_tx;
-    sketch_phase_.half_duplex = half_duplex;
-    sketch_phase_.gather_key = churn_key_.fork(round_);
-    detail::run_chunked(pool_, chunks,
-                        [this](std::uint64_t c) { gather_chunk(c); });
+    const StreamKey key = churn_key_.fork(round_);
+    detail::run_chunked(pool_, chunks, [&](std::uint64_t c) {
+      gather_chunk(c, tx, is_tx, half_duplex, key);
+    });
     for (std::uint64_t c = 0; c < chunks; ++c) {
       const SketchShard& shard = shards_[c];
       pinned_.insert(pinned_.end(), shard.pinned.begin(), shard.pinned.end());
@@ -543,21 +530,16 @@ class ImplicitDynamicGnpTopology {
   }
 
   /// One gather chunk: walks the sketch chains of senders
-  /// tx[c·chunk, (c+1)·chunk) with the chunk's keyed stream, accumulating
+  /// tx[c·chunk, (c+1)·chunk) with the stream key.fork(c), accumulating
   /// pinned touches and freed entry indices in the chunk's private scratch.
-  /// Kept out-of-line so the pool fan-out lambda captures only `this`
-  /// (std::function inline storage — no per-round allocation).
-  void gather_chunk(std::uint64_t c) {
+  void gather_chunk(std::uint64_t c, std::span<const NodeId> tx,
+                    const std::vector<char>& is_tx, bool half_duplex,
+                    const StreamKey& key) {
     SketchShard& shard = shards_[c];
     shard.pinned.clear();
     shard.freed.clear();
-    Rng rng = sketch_phase_.gather_key.fork(c).make_rng();
-    const std::span<const NodeId> tx = sketch_phase_.tx;
-    const std::vector<char>& is_tx = *sketch_phase_.is_tx;
-    const bool half_duplex = sketch_phase_.half_duplex;
-    const std::uint64_t lo = c * kSketchChunkSize;
-    const std::uint64_t hi =
-        std::min<std::uint64_t>(tx.size(), lo + kSketchChunkSize);
+    Rng rng = key.fork(c).make_rng();
+    const auto [lo, hi] = detail::block_range(c, kSketchChunkSize, tx.size());
     for (std::uint64_t s = lo; s < hi; ++s) {
       const NodeId t = tx[s];
       sketch_.visit_deferred(
@@ -606,12 +588,10 @@ class ImplicitDynamicGnpTopology {
     group_starts_.push_back(pinned_.size());  // end sentinel
     const std::uint64_t chunks = detail::block_count(groups, kSketchChunkSize);
     if (shards_.size() < chunks) shards_.resize(chunks);
-    sketch_phase_.tx = tx;
-    sketch_phase_.is_tx = &is_tx;
-    sketch_phase_.half_duplex = half_duplex;
-    sketch_phase_.classify_key = churn_key_.fork(round_).fork(kClassifyLane);
-    detail::run_chunked(pool_, chunks,
-                        [this](std::uint64_t c) { classify_chunk(c); });
+    const StreamKey key = churn_key_.fork(round_).fork(kClassifyLane);
+    detail::run_chunked(pool_, chunks, [&](std::uint64_t c) {
+      classify_chunk(c, tx, is_tx, half_duplex, key);
+    });
     for (std::uint64_t c = 0; c < chunks; ++c) {
       const SketchShard& shard = shards_[c];
       *pinned_nontx += shard.nontx;
@@ -624,24 +604,20 @@ class ImplicitDynamicGnpTopology {
   }
 
   /// One classify chunk: groups [c·chunk, (c+1)·chunk) of the sorted
-  /// pinned set, drawn from the chunk's keyed stream into private event /
-  /// record scratch. Out-of-line for the same [this]-only capture reason
-  /// as gather_chunk.
-  void classify_chunk(std::uint64_t c) {
+  /// pinned set, drawn from the stream key.fork(c) into private event /
+  /// record scratch.
+  void classify_chunk(std::uint64_t c, std::span<const NodeId> tx,
+                      const std::vector<char>& is_tx, bool half_duplex,
+                      const StreamKey& key) {
     SketchShard& shard = shards_[c];
     shard.events.clear();
     shard.records.clear();
     shard.nontx = 0;
     shard.tx = 0;
-    Rng rng = sketch_phase_.classify_key.fork(c).make_rng();
-    const std::span<const NodeId> tx = sketch_phase_.tx;
-    const std::vector<char>& is_tx = *sketch_phase_.is_tx;
-    const bool half_duplex = sketch_phase_.half_duplex;
+    Rng rng = key.fork(c).make_rng();
     const std::uint64_t k = tx.size();
     const std::uint64_t groups = group_starts_.size() - 1;
-    const std::uint64_t glo = c * kSketchChunkSize;
-    const std::uint64_t ghi =
-        std::min<std::uint64_t>(groups, glo + kSketchChunkSize);
+    const auto [glo, ghi] = detail::block_range(c, kSketchChunkSize, groups);
     for (std::uint64_t g = glo; g < ghi; ++g) {
       const std::size_t i = group_starts_[g];
       const std::size_t j = group_starts_[g + 1];
@@ -716,25 +692,19 @@ class ImplicitDynamicGnpTopology {
     const std::uint64_t blocks =
         detail::block_count(n, detail::kShardBlockSize);
     fail_counts_.assign(blocks, 0);
-    const auto run_block = [&](std::uint64_t b) {
+    detail::run_chunked(pool_, blocks, [&](std::uint64_t b) {
       Rng rng = round_key.fork(b).make_rng();
-      const std::uint64_t lo = b * detail::kShardBlockSize;
-      const std::uint64_t span =
-          std::min<std::uint64_t>(n, lo + detail::kShardBlockSize) - lo;
+      const auto [lo, hi] = detail::block_range(b, detail::kShardBlockSize, n);
       NodeId fresh = 0;
-      for (std::uint64_t o = rng.geometric_inv(inv_log1m_fail_) - 1; o < span;
-           o += rng.geometric_inv(inv_log1m_fail_)) {
+      for (std::uint64_t o = rng.geometric_inv(inv_log1m_fail_) - 1;
+           o < hi - lo; o += rng.geometric_inv(inv_log1m_fail_)) {
         if (!failed_[lo + o]) {
           failed_[lo + o] = 1;
           ++fresh;
         }
       }
       fail_counts_[b] = fresh;
-    };
-    if (pool_ != nullptr && blocks > 1)
-      pool_->parallel_for_index(blocks, run_block);
-    else
-      for (std::uint64_t b = 0; b < blocks; ++b) run_block(b);
+    });
     for (const NodeId fresh : fail_counts_) failed_count_ += fresh;
   }
 
@@ -764,7 +734,6 @@ class ImplicitDynamicGnpTopology {
   std::vector<std::uint32_t> radix_counts_;  ///< gather sort scratch
   std::vector<PinnedTouch> pinned_scratch_;  ///< gather sort scratch
   std::vector<std::size_t> group_starts_; ///< pinned group offsets + sentinel
-  SketchPhase sketch_phase_;              ///< current phase inputs
 };
 
 }  // namespace radnet::sim

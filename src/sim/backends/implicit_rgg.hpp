@@ -43,8 +43,8 @@
 // never of thread schedule or draw order, so the sharded movement sweep
 // is bit-identical at any thread count. The delivery sweep draws no
 // randomness at all and shards over the same fixed kShardBlockSize
-// listener blocks, emitted through the ShardBuffer/merge machinery of
-// sim/sharding.hpp: blocks run in any order, buffers merge serially in
+// listener blocks through the one block fan-out of sim/sharding.hpp
+// (BlockSweep): blocks run in any order, buffers merge serially in
 // ascending listener order, and the engine sink observes exactly the
 // event sequence a serial sweep would have produced (the block-merge
 // ordering invariant). The transmitter bucketing is sharded too, under
@@ -198,46 +198,13 @@ class ImplicitRggTopology {
                bool collisions_inert, Sink& sink) {
     if (transmitters.empty()) return;
     bucket_transmitters(transmitters);
-
-    const detail::AttentiveFlags* inert_deliveries = nullptr;
-    if (attentive.has_value()) {
-      att_flags_.set_round(n_, *attentive);
-      inert_deliveries = &att_flags_;
-    }
-
-    const std::uint64_t blocks = detail::block_count(n_, kShardBlockSize);
-    const auto run_block = [&](std::uint64_t b, auto& em) {
-      const NodeId lo = static_cast<NodeId>(b * kShardBlockSize);
-      const NodeId hi = static_cast<NodeId>(std::min<std::uint64_t>(
-          n_, (b + 1) * static_cast<std::uint64_t>(kShardBlockSize)));
-      sweep_block(lo, hi, is_tx, half_duplex, em);
-    };
-    if (pool_ != nullptr && blocks > 1) {
-      if (buffers_.size() < blocks) buffers_.resize(blocks);
-      const detail::InBlockDeliveries in_block =
-          detail::in_block_deliveries(sink);
-      const auto body = [&](std::uint64_t b) {
-        detail::ShardBuffer& buf = buffers_[b];
-        buf.clear();
-        detail::BufferEmitter em{buf, /*want_records=*/false,
-                                 collisions_inert, inert_deliveries, in_block};
-        run_block(b, em);
-      };
-      pool_->parallel_for_index(blocks, std::cref(body));
-      detail::merge_shard_buffers(
-          std::span<const detail::ShardBuffer>(buffers_.data(), blocks), sink,
-          detail::RecordNone{});
-    } else {
-      detail::RecordNone none;
-      detail::DirectEmitter<Sink, detail::RecordNone> em{
-          sink, none, collisions_inert, inert_deliveries};
-      for (std::uint64_t b = 0; b < blocks; ++b) {
-        run_block(b, em);
-        em.flush_block();
-      }
-    }
-
-    if (attentive.has_value()) att_flags_.clear_round(*attentive);
+    blocks_.run(pool_, detail::block_count(n_, kShardBlockSize),
+                collisions_inert, attentive, n_, sink, detail::RecordNone{},
+                [&](std::uint64_t b, auto& em) {
+                  const auto [lo, hi] =
+                      detail::block_range(b, kShardBlockSize, n_);
+                  sweep_block(lo, hi, is_tx, half_duplex, em);
+                });
     unbucket_transmitters();
   }
 
@@ -255,7 +222,9 @@ class ImplicitRggTopology {
   /// pure function of (spec seed, block).
   void init_positions() {
     const StreamKey init_key = key_.fork(kInitLane);
-    for_each_block([&](std::uint64_t b, NodeId lo, NodeId hi) {
+    detail::run_chunked(pool_, detail::block_count(n_, kShardBlockSize),
+                        [&](std::uint64_t b) {
+      const auto [lo, hi] = detail::block_range(b, kShardBlockSize, n_);
       Rng rng = init_key.fork(b).make_rng();
       for (NodeId v = lo; v < hi; ++v)
         pts_[v] = graph::Point{rng.next_double(), rng.next_double()};
@@ -270,7 +239,9 @@ class ImplicitRggTopology {
   void move_step(std::uint32_t round) {
     if (step_ <= 0.0) return;  // parked devices: topology is static
     const StreamKey round_key = key_.fork(round);
-    for_each_block([&](std::uint64_t b, NodeId lo, NodeId hi) {
+    detail::run_chunked(pool_, detail::block_count(n_, kShardBlockSize),
+                        [&](std::uint64_t b) {
+      const auto [lo, hi] = detail::block_range(b, kShardBlockSize, n_);
       Rng rng = round_key.fork(b).make_rng();
       for (NodeId v = lo; v < hi; ++v) {
         graph::Point& pt = pts_[v];
@@ -284,21 +255,6 @@ class ImplicitRggTopology {
         pt.y = std::clamp(pt.y, 0.0, 1.0);
       }
     });
-  }
-
-  template <class Body>
-  void for_each_block(Body&& body) {
-    const std::uint64_t blocks = detail::block_count(n_, kShardBlockSize);
-    const auto run = [&](std::uint64_t b) {
-      const NodeId lo = static_cast<NodeId>(b * kShardBlockSize);
-      const NodeId hi = static_cast<NodeId>(std::min<std::uint64_t>(
-          n_, (b + 1) * static_cast<std::uint64_t>(kShardBlockSize)));
-      body(b, lo, hi);
-    };
-    if (pool_ != nullptr && blocks > 1)
-      pool_->parallel_for_index(blocks, run);
-    else
-      for (std::uint64_t b = 0; b < blocks; ++b) run(b);
   }
 
   /// Counting-sorts the round's k transmitters into the cell grid
@@ -320,11 +276,11 @@ class ImplicitRggTopology {
     const std::uint64_t chunks =
         detail::block_count(transmitters.size(), bucket_chunk_);
     if (bucket_chunks_.size() < chunks) bucket_chunks_.resize(chunks);
-    bucket_tx_ = transmitters;
 
     // Phase 1 (parallel): chunk-local counting sort into (cell, len) runs.
-    detail::run_chunked(pool_, chunks,
-                        [this](std::uint64_t c) { bucket_sort_chunk(c); });
+    detail::run_chunked(pool_, chunks, [&](std::uint64_t c) {
+      bucket_sort_chunk(c, transmitters);
+    });
 
     // Phase 2 (serial cell-ordered merge, O(runs)): accumulate per-cell
     // counts in chunk-scan order (occupied_ = first-touch order), lay the
@@ -371,8 +327,9 @@ class ImplicitRggTopology {
     // is stamped more than once — every store writes the same
     // round_stamp_ value through a relaxed atomic_ref, and the pool join
     // orders all of them before the sweep's plain loads.
-    detail::run_chunked(pool_, chunks,
-                        [this](std::uint64_t c) { bucket_scatter_chunk(c); });
+    detail::run_chunked(pool_, chunks, [&](std::uint64_t c) {
+      bucket_scatter_chunk(c, transmitters);
+    });
 
     // Far-away sentinels let the vector scan load full-width chunks that
     // overhang the final segment without reading garbage distances.
@@ -385,18 +342,15 @@ class ImplicitRggTopology {
 
   /// Phase 1 of bucket_transmitters for chunk `c`: cell indices for the
   /// chunk's transmitters, a stable local sort by cell, and the collapsed
-  /// (cell, len) run list. Out-of-line so the pool fan-out lambda captures
-  /// only `this` (std::function inline storage — no per-round allocation).
-  void bucket_sort_chunk(std::uint64_t c) {
+  /// (cell, len) run list.
+  void bucket_sort_chunk(std::uint64_t c, std::span<const NodeId> tx) {
     BucketChunk& bc = bucket_chunks_[c];
-    const std::uint64_t lo = c * static_cast<std::uint64_t>(bucket_chunk_);
-    const std::uint64_t hi =
-        std::min<std::uint64_t>(bucket_tx_.size(), lo + bucket_chunk_);
+    const auto [lo, hi] = detail::block_range(c, bucket_chunk_, tx.size());
     const auto len = static_cast<std::uint32_t>(hi - lo);
     bc.cell.resize(len);
     bc.order.resize(len);
     for (std::uint32_t i = 0; i < len; ++i) {
-      bc.cell[i] = cell_index(pts_[bucket_tx_[lo + i]]);
+      bc.cell[i] = cell_index(pts_[tx[lo + i]]);
       bc.order[i] = i;
     }
     // Index tie-break = stable order, without std::stable_sort's per-call
@@ -422,7 +376,7 @@ class ImplicitRggTopology {
   /// Phase 3 of bucket_transmitters for chunk `c`: scatter the chunk's
   /// transmitters (in local sorted order) into the runs' reserved slots
   /// and stamp each run cell's neighbourhood.
-  void bucket_scatter_chunk(std::uint64_t c) {
+  void bucket_scatter_chunk(std::uint64_t c, std::span<const NodeId> tx) {
     BucketChunk& bc = bucket_chunks_[c];
     const std::uint64_t lo = c * static_cast<std::uint64_t>(bucket_chunk_);
     std::size_t pos = 0;
@@ -430,7 +384,7 @@ class ImplicitRggTopology {
       const std::uint32_t len = bc.run_len[r];
       std::uint32_t slot = bc.run_slot[r];
       for (std::uint32_t j = 0; j < len; ++j, ++pos, ++slot) {
-        const NodeId t = bucket_tx_[lo + bc.order[pos]];
+        const NodeId t = tx[lo + bc.order[pos]];
         const graph::Point& pt = pts_[t];
         tx_x_[slot] = pt.x;
         tx_y_[slot] = pt.y;
@@ -534,10 +488,8 @@ class ImplicitRggTopology {
     std::vector<std::uint32_t> run_slot;  ///< global scatter start per run
   };
   NodeId bucket_chunk_ = kTxChunkSize;  ///< see set_bucket_chunk()
-  std::span<const NodeId> bucket_tx_;   ///< current phase's transmitters
   std::vector<BucketChunk> bucket_chunks_;
-  detail::AttentiveFlags att_flags_;          ///< swept rounds' attentive mask
-  std::vector<detail::ShardBuffer> buffers_;  ///< per-block scratch, reused
+  detail::BlockSweep blocks_;  ///< the delivery sweep's block fan-out
 };
 
 }  // namespace radnet::sim

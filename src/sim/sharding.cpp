@@ -7,12 +7,9 @@
 
 namespace radnet::sim::detail {
 
-void run_chunked(ThreadPool* pool, std::uint64_t chunks,
-                 const std::function<void(std::uint64_t)>& body) {
-  if (pool != nullptr && chunks > 1)
-    pool->parallel_for_index(chunks, body);
-  else
-    for (std::uint64_t c = 0; c < chunks; ++c) body(c);
+void pool_for_index(ThreadPool& pool, std::uint64_t chunks,
+                    const std::function<void(std::uint64_t)>& body) {
+  pool.parallel_for_index(chunks, body);
 }
 
 unsigned csr_block_shift(NodeId n, unsigned parallelism) {

@@ -12,15 +12,17 @@
 //      backends, which involve no RNG at all, size blocks adaptively from
 //      the pool width (csr_block_shift) because their output is provably
 //      independent of the block granularity.
-//   2. Blocks execute on the thread pool (or serially — same bits either
-//      way), each emitting its events into a private ShardBuffer through a
-//      BufferEmitter; a serial schedule uses a DirectEmitter that streams
-//      straight to the sink instead, with zero buffering.
-//   3. The buffers merge serially in ascending block order
-//      (merge_shard_buffers), so the engine sink — and therefore the
+//   2. BlockSweep::run is the one block fan-out. With a pool and more than
+//      one block, every block emits its events into a private ShardBuffer
+//      through a BufferEmitter; otherwise the same blocks run inline in
+//      ascending order through one DirectEmitter that streams straight to
+//      the sink, with zero buffering. Same bits either way.
+//   3. On the pool, the buffers merge serially in ascending block order
+//      (inside BlockSweep::run), so the engine sink — and therefore the
 //      protocol, trace and any resolution-recording hook — observes events
 //      in ascending listener order on a single thread (receiver-local
 //      deliveries excepted: they apply inside the blocks, see below).
+//      Backends write only the per-block body; none forks on the pool.
 //
 // The three invariants every backend built on this layer upholds:
 //
@@ -63,7 +65,7 @@
 // bit-identical at any thread count; where a phase draws no RNG (the
 // bucketing counting sort) it is additionally chunk-*granularity*
 // independent, which the bucketing oracle test exercises. run_chunked()
-// below is the shared fan-out.
+// below is the shared fan-out (BlockSweep::run uses it too).
 //
 // Bulk ledger accounting: two classes of per-listener events can collapse
 // into exact per-block *counts* instead of buffered events, shrinking the
@@ -93,9 +95,12 @@
 // decorator that does not forward the declaration.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -135,6 +140,17 @@ inline constexpr NodeId kShardBlockSize = 1u << 16;
   return (n + block_size - 1) / block_size;
 }
 
+/// The span [lo, hi) of block `b` when [0, total) splits into blocks of
+/// `width`: the one copy of the block arithmetic every sweep and chunked
+/// phase uses.
+template <class T>
+[[nodiscard]] std::pair<T, T> block_range(std::uint64_t b,
+                                          std::uint64_t width, T total) {
+  const std::uint64_t lo = b * width;
+  return {static_cast<T>(lo),
+          static_cast<T>(std::min<std::uint64_t>(total, lo + width))};
+}
+
 /// log2 of the listener-block size the explicit CSR backends use at the
 /// given parallel width (pool workers + the calling thread). CSR delivery
 /// draws no randomness, so its output is independent of the block
@@ -142,17 +158,28 @@ inline constexpr NodeId kShardBlockSize = 1u << 16;
 /// per thread to balance, and never exceed the sampling backends' 2^16.
 [[nodiscard]] unsigned csr_block_shift(NodeId n, unsigned parallelism);
 
+/// ThreadPool::parallel_for_index, out of line: ThreadPool is incomplete
+/// here.
+void pool_for_index(ThreadPool& pool, std::uint64_t chunks,
+                    const std::function<void(std::uint64_t)>& body);
+
 /// The shared chunk fan-out of the per-chunk merge contract (file comment):
 /// runs body(c) for every chunk in [0, chunks), on the pool when one is
 /// given and there is more than one chunk, inline in ascending order
 /// otherwise. The decomposition is the caller's — and for keyed phases part
 /// of its randomness contract — so the two schedules execute the *same*
 /// chunks; only the interleaving differs, and the caller's serial merge
-/// restores order. Keep `body` small enough for std::function's inline
-/// storage (a single captured pointer) so steady-state rounds stay
-/// allocation-free — pinned by tests/sim/shard_scratch_test.cpp.
-void run_chunked(ThreadPool* pool, std::uint64_t chunks,
-                 const std::function<void(std::uint64_t)>& body);
+/// restores order. The pool receives `body` through std::cref, so the
+/// std::function stays in its inline storage whatever the body captures and
+/// steady-state rounds stay allocation-free — pinned by
+/// tests/sim/shard_scratch_test.cpp.
+template <class Body>
+void run_chunked(ThreadPool* pool, std::uint64_t chunks, const Body& body) {
+  if (pool != nullptr && chunks > 1)
+    pool_for_index(*pool, chunks, std::cref(body));
+  else
+    for (std::uint64_t c = 0; c < chunks; ++c) body(c);
+}
 
 /// No listener is excluded from a round (backends without a skip hook).
 struct SkipNone {
@@ -269,7 +296,7 @@ struct BufferEmitter {
   }
 };
 
-/// Emitter for the serial schedule (pool == nullptr): blocks already run
+/// Emitter for the inline schedule (no pool, or one block): blocks run
 /// in ascending order on one thread, so events flow straight to the sink
 /// and records straight to the hook — zero buffering, exactly the event /
 /// record sequence the buffered merge would replay (bulk-merged deliveries
@@ -312,27 +339,78 @@ struct DirectEmitter {
   }
 };
 
-/// Serial merge of the blocks' buffers in block order: records into the
-/// Record hook (sketch insertion order = enumeration order), events into
-/// the sink in ascending listener order, bulk counts as one call each per
-/// block. The protocol, trace and sketch stay single-threaded here; what
-/// the blocks applied in place arrives as part of the bulk counts.
-template <class Sink, class Record>
-void merge_shard_buffers(std::span<const ShardBuffer> buffers, Sink& sink,
-                         Record&& record) {
-  for (const ShardBuffer& buf : buffers) {
-    for (const auto& [sender, listener] : buf.records)
-      record(sender, listener);
-    for (const auto& [listener, sender] : buf.events) {
-      if (sender == kNoSender)
-        sink.collide(listener);
-      else
-        sink.deliver(listener, sender);
+/// The one listener-block fan-out (file comment, steps 2-3). Each backend
+/// owns one for its reusable per-block buffers and attentive mask, and
+/// writes only the per-block body; the schedule fork lives here.
+class BlockSweep {
+ public:
+  /// Off when the Record hook is a runtime no-op (the dynamic backend at
+  /// churn == 1): pooled blocks then buffer no pairs. RecordNone never
+  /// buffers. The serial schedule calls the hook either way.
+  void set_records_enabled(bool enabled) { records_enabled_ = enabled; }
+
+  /// Runs body(b, emitter) for every block b in [0, blocks); `body` must be
+  /// generic in the emitter type. With a pool and more than one block,
+  /// every block emits into its own ShardBuffer on the pool, and the
+  /// buffers merge into the sink in block order: records into `record`
+  /// (sketch insertion order = enumeration order), events in ascending
+  /// listener order, bulk counts (which include the deliveries applied
+  /// in-block) as one call each per block. Otherwise the
+  /// blocks run inline in ascending order through one DirectEmitter,
+  /// flushing its bulk counts after each block. A set `attentive` hint
+  /// (listeners < n) folds deliveries to listeners outside it into the bulk
+  /// counts; `inert_collisions` folds collisions likewise.
+  template <class Sink, class Record, class Body>
+  void run(ThreadPool* pool, std::uint64_t blocks, bool inert_collisions,
+           const std::optional<std::span<const NodeId>>& attentive, NodeId n,
+           Sink& sink, Record&& record, const Body& body) {
+    const AttentiveFlags* inert_deliveries = nullptr;
+    if (attentive.has_value()) {
+      flags_.set_round(n, *attentive);
+      inert_deliveries = &flags_;
     }
-    if (buf.deliver_count > 0) sink.deliver_bulk(buf.deliver_count);
-    if (buf.collide_count > 0) sink.collide_bulk(buf.collide_count);
+    if (pool != nullptr && blocks > 1) {
+      if (buffers_.size() < blocks) buffers_.resize(blocks);
+      const bool want_records =
+          records_enabled_ &&
+          !std::is_same_v<std::remove_cvref_t<Record>, RecordNone>;
+      const InBlockDeliveries in_block = in_block_deliveries(sink);
+      run_chunked(pool, blocks, [&](std::uint64_t b) {
+        ShardBuffer& buf = buffers_[b];
+        buf.clear();
+        BufferEmitter em{buf, want_records, inert_collisions,
+                         inert_deliveries, in_block};
+        body(b, em);
+      });
+      for (std::uint64_t b = 0; b < blocks; ++b) {
+        const ShardBuffer& buf = buffers_[b];
+        for (const auto& [sender, listener] : buf.records)
+          record(sender, listener);
+        for (const auto& [listener, sender] : buf.events) {
+          if (sender == kNoSender)
+            sink.collide(listener);
+          else
+            sink.deliver(listener, sender);
+        }
+        if (buf.deliver_count > 0) sink.deliver_bulk(buf.deliver_count);
+        if (buf.collide_count > 0) sink.collide_bulk(buf.collide_count);
+      }
+    } else {
+      DirectEmitter<Sink, std::remove_reference_t<Record>> em{
+          sink, record, inert_collisions, inert_deliveries};
+      for (std::uint64_t b = 0; b < blocks; ++b) {
+        body(b, em);
+        em.flush_block();
+      }
+    }
+    if (attentive.has_value()) flags_.clear_round(*attentive);
   }
-}
+
+ private:
+  AttentiveFlags flags_;
+  std::vector<ShardBuffer> buffers_;  ///< per-block output, reused per round
+  bool records_enabled_ = true;
+};
 
 }  // namespace detail
 }  // namespace radnet::sim

@@ -3,9 +3,10 @@
 // The sharded sketch phases (implicit_dynamic.hpp: sender-chunked gather,
 // group-chunked classify) and the sharded RGG transmitter bucketing
 // (implicit_rgg.hpp) keep all per-(round, chunk) scratch in reusable
-// member buffers, and their pool fan-out lambdas capture only `this` so
-// the std::function handed to ThreadPool::parallel_for_index stays in its
-// inline storage. The consequence pinned here: once warmed up, steady-state
+// member buffers, and every pool fan-out goes through run_chunked, which
+// hands the body to ThreadPool::parallel_for_index through std::cref so
+// the std::function stays in its inline storage. The consequence pinned
+// here: once warmed up, steady-state
 // rounds of both phases perform *zero* heap allocations, with a live
 // multi-chunk decomposition on the real global pool. The global
 // operator new below counts every allocation in the process (worker
@@ -24,7 +25,12 @@
 // run is a whole untraced Algorithm 1 trial on the pool: receiver-local
 // deliveries are applied inside the sweep blocks and BroadcastState
 // commits in place, so once the per-block scratch has seen the heaviest
-// rounds no round allocates at all.
+// rounds no round allocates at all. The CSR run forces the pooled counter
+// path (transmitter-chunk scatter, then the listener-block gather), and
+// the failure run draws the dynamic backend's per-block failures on the
+// pool. Both fan-out bodies capture more than std::function's inline
+// storage holds, so each round allocates unless they reach the pool
+// through std::cref.
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -245,6 +251,59 @@ TEST(ShardScratch, RggBucketingSteadyStateAllocFree) {
   EXPECT_EQ(bucketed, tx.size());
   topo.unbucket_for_test();
   topo.set_bucket_chunk(0);
+}
+
+TEST(ShardScratch, CsrPooledCounterPathRoundsAllocFree) {
+  const graph::NodeId n = 1u << 15;  // 16 listener blocks at 5-wide
+  Rng grng(0xC5A11);
+  const graph::Digraph g = graph::gnp_directed(n, 16.0 / n, grng);
+  CsrTopology topo(g);
+  topo.set_parallelism(resolve_pool(4));
+
+  // k = 4096 transmitters of mean degree 16: the edge load clears
+  // CsrDelivery::kMinParallelRoundWork, so every round scatters and
+  // gathers on the pool.
+  std::vector<graph::NodeId> tx;
+  for (graph::NodeId v = 0; v < n; v += 8) tx.push_back(v);
+  std::vector<char> is_tx(n, 0);
+  for (const graph::NodeId t : tx) is_tx[t] = 1;
+
+  CountSink sink;
+  const auto run_round = [&] {
+    topo.begin_round(0);
+    topo.deliver({tx.data(), tx.size()}, is_tx, /*half_duplex=*/false,
+                 DeliveryPath::kSortedTouch, std::nullopt,
+                 /*collisions_inert=*/false, sink);
+  };
+  for (int warm = 0; warm < 2; ++warm) run_round();
+
+  const std::uint64_t before = g_allocations.load();
+  for (int round = 0; round < 8; ++round) run_round();
+  const std::uint64_t during = g_allocations.load() - before;
+
+  EXPECT_EQ(during, 0u) << "steady-state pooled counter-path rounds "
+                           "allocated " << during << " times";
+  EXPECT_GT(sink.deliveries, 0u);
+  EXPECT_GT(sink.collisions, 0u);
+}
+
+TEST(ShardScratch, DynamicFailureInjectionAllocFree) {
+  ImplicitDynamicGnp spec;
+  spec.n = 1u << 18;  // four failure blocks
+  spec.p = 8.0 / spec.n;
+  spec.fail_prob = 1e-4;  // ~26 failures per round
+  spec.rng = Rng(0xFA11);
+  ImplicitDynamicGnpTopology topo(spec);
+  topo.set_parallelism(resolve_pool(4));
+  topo.begin_round(0);  // sizes the per-block failure counts
+
+  const std::uint64_t before = g_allocations.load();
+  for (std::uint32_t round = 1; round <= 8; ++round) topo.begin_round(round);
+  const std::uint64_t during = g_allocations.load() - before;
+
+  EXPECT_EQ(during, 0u) << "steady-state failure draws allocated " << during
+                        << " times";
+  EXPECT_GT(topo.failed_count(), 100u) << "too few failures drawn";
 }
 
 /// Declares receiver-local deliveries (like Algorithm 1 itself) and counts

@@ -324,6 +324,24 @@ TEST(ThreadInvariance, InBlockAlg2mIrgg) {
       "in-block alg2m irgg");
 }
 
+TEST(ThreadInvariance, InBlockAlg1Csr) {
+  // n = 20 000 as in CsrStaticAllPaths: ~20 adaptive listener blocks, and
+  // the heavy rounds clear CsrDelivery::kMinParallelRoundWork, so the
+  // pooled sweeps apply deliveries in-block. CSR delivery draws no RNG,
+  // so the traced run must match the untraced ones too.
+  const graph::NodeId n = 20'000;
+  const double p = 8.0 * std::log(n) / n;
+  Rng grng(0x1B10F);
+  const graph::Digraph g = graph::gnp_directed(n, p, grng);
+  shard_test::expect_in_block_invariant(
+      [&](RunOptions options, bool decorated) {
+        options.max_rounds = 48;
+        return run_maybe_decorated<BroadcastRandomProtocol>(
+            g, BroadcastRandomParams{.p = p}, options, decorated, 49);
+      },
+      "in-block alg1 csr", /*trace_keeps_hints=*/true);
+}
+
 TEST(ThreadInvariance, CsrStaticAllPaths) {
   // Large enough for ~20 adaptive listener blocks, so 2- and 8-thread
   // schedules genuinely interleave block execution.
