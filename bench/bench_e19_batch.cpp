@@ -12,8 +12,8 @@
 // Wilson rate interval plus the order-statistic rounds-median interval,
 // support/stats.hpp) and the warm-replay cost per spec. The byte-identity
 // contract — cold and warm streams identical, any thread count identical —
-// is asserted here too and gated in CI by tools/bench_runner.cpp
-// (schema v6, "e19_batch").
+// is asserted here too and pinned in tier-1 by harness_batch_test
+// (tests/harness/batch_test.cpp).
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -131,7 +131,7 @@ int main() {
   const ModeNumbers forced = run_mode("force-full", specs, full);
   std::filesystem::remove_all(cache_dir);
 
-  // The contracts E19 exists to demonstrate; bench_runner gates them in CI.
+  // The contracts E19 exists to demonstrate; harness_batch_test pins them.
   if (replay.stream != cold.stream) {
     std::cerr << "E19: warm-cache stream diverged from the cold run — "
                  "cache replay broke byte-identity\n";

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <istream>
 #include <limits>
+#include <new>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -1066,6 +1067,19 @@ std::vector<BatchOutcome> run_batch(const std::vector<BatchSpec>& specs,
     if (!st.done && st.dup_of == kNoDup && st.granted > 0) try_finish(idx);
   }
 
+  // An error line is final like a result line, but never cached: the next
+  // run retries the spec.
+  const auto fail_spec = [&](std::size_t idx, std::string_view cause,
+                             std::uint32_t attempts) {
+    SpecState& st = states[idx];
+    st.done = true;
+    st.error = true;
+    st.converged = false;
+    st.json = batch_error_json(*st.spec, cause, attempts);
+    ++stats.spec_errors;
+    commit_result(idx);
+  };
+
   const auto run_isolated = [&](std::size_t idx) {
     SpecState& st = states[idx];
     std::string_view cause = "error";
@@ -1096,12 +1110,7 @@ std::vector<BatchOutcome> run_batch(const std::vector<BatchSpec>& specs,
       }
       if (cancelled()) return;  // leave unfinished; resume retries afresh
     }
-    st.done = true;
-    st.error = true;
-    st.converged = false;
-    st.json = batch_error_json(*st.spec, cause, options.isolate_attempts);
-    ++stats.spec_errors;
-    commit_result(idx);
+    fail_spec(idx, cause, options.isolate_attempts);
   };
 
   // Round-robin grant passes: every unconverged spec receives one
@@ -1151,7 +1160,14 @@ std::vector<BatchOutcome> run_batch(const std::vector<BatchSpec>& specs,
               : std::min(remaining, std::max(options.min_grant, st.granted));
       (void)io::check_fault("grant");  // crash window: grant not yet run
       const std::uint32_t first = st.granted;
-      run_monte_carlo_range(st.mc, first, grant, st.acc);
+      try {
+        run_monte_carlo_range(st.mc, first, grant, st.acc);
+      } catch (const std::bad_alloc&) {
+        // A spec too large for this process ends as the error line an
+        // isolated child's failure leaves; the other specs run on.
+        fail_spec(idx, "error", 1);
+        continue;
+      }
       st.granted += grant;
       stats.trials_run += grant;
       if (writer.is_open()) {

@@ -50,14 +50,13 @@
 //     child (RLIMIT_AS cap + wall-clock timeout, bounded retry with
 //     exponential backoff), so a crashing or wedged spec degrades into a
 //     structured `"error"` JSON line while every other spec completes with
-//     byte-identical results.
+//     byte-identical results. In-process, a grant that throws
+//     std::bad_alloc degrades the same way (cause "error", one attempt).
 //
 // tools/radnet_batch.cpp is the thin CLI over this layer;
 // tests/harness/batch_test.cpp pins the determinism, prefix and cache
 // contracts; tests/harness/faultinject_test.cpp pins the crash-safety
-// invariant resume(interrupt(run)) == run; tools/bench_runner.cpp gates
-// cold-vs-cached, serial-vs-parallel and kill-resume identity in the
-// bench_smoke JSON.
+// invariant resume(interrupt(run)) == run.
 #pragma once
 
 #include <atomic>
@@ -246,7 +245,7 @@ struct BatchStats {
   std::uint64_t trials_saved = 0;  ///< sum over specs of (trials - granted)
   std::uint64_t journal_trials = 0;   ///< trials restored by replay, not run
   std::uint64_t journal_results = 0;  ///< result lines re-emitted verbatim
-  std::uint64_t spec_errors = 0;   ///< isolate-mode error lines emitted
+  std::uint64_t spec_errors = 0;   ///< error lines emitted
   bool interrupted = false;        ///< options.cancel stopped the run early
 };
 
@@ -260,7 +259,7 @@ struct BatchStats {
     std::ostream& out, BatchStats* stats = nullptr);
 
 /// The canonical result line for a (spec, accumulated result) pair —
-/// exposed so tests and bench_runner can re-derive the expected bytes.
+/// exposed so tests can re-derive the expected bytes.
 /// Handles the zero-completions regime with JSON nulls (never NaN): an
 /// all-fail spec is a data point, not a formatting error.
 [[nodiscard]] std::string batch_result_json(const BatchSpec& spec,
@@ -268,8 +267,8 @@ struct BatchStats {
                                             std::uint32_t granted,
                                             bool converged);
 
-/// The structured error line isolate mode emits for a spec that exhausted
-/// its attempts: spec identity (hash, protocol, family, n, seed), the
+/// The structured error line for a spec that exhausted its isolate
+/// attempts or ran out of memory in-process: spec identity (hash, protocol, family, n, seed), the
 /// terminal cause ("crash", "timeout" or "error") and the attempt count.
 /// Deterministic given (spec, cause, attempts), so error lines are as
 /// reproducible as result lines.

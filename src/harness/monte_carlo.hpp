@@ -148,8 +148,8 @@ void run_monte_carlo_range(const McSpec& spec, std::uint32_t first,
                            std::uint32_t count, McResult& into);
 
 /// One trial's full engine output: what run_monte_carlo_range condenses
-/// into a TrialOutcome, for callers that compare whole runs (the bench
-/// gates, the golden fingerprints).
+/// into a TrialOutcome, for callers that compare whole runs (the golden
+/// fingerprints).
 struct TrialRun {
   sim::RunResult run;
   /// Protocol::stranded_count() when the trial ended.

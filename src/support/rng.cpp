@@ -191,10 +191,6 @@ std::uint64_t LaneRng::next_u64_lane(unsigned lane) {
   return result;
 }
 
-double LaneRng::next_double_lane(unsigned lane) {
-  return static_cast<double>(next_u64_lane(lane) >> 11) * 0x1.0p-53;
-}
-
 void LaneRng::next_u64_lanes_scalar(std::uint64_t* out) {
   for (unsigned l = 0; l < kLanes; ++l) out[l] = next_u64_lane(l);
 }

@@ -140,7 +140,6 @@ class LaneRng {
 
   /// Advances a single lane (shares state with the lockstep steps).
   std::uint64_t next_u64_lane(unsigned lane);
-  double next_double_lane(unsigned lane);
 
   /// Portable reference implementation of next_u64_lanes — the scalar
   /// fallback the dispatched path must match byte-for-byte.

@@ -1,6 +1,7 @@
 // Mode resolution and the portable scalar kernels. The AVX2 twins live in
 // simd_avx2.cpp (own TU, built with -mavx2); byte-identity between the two
-// is pinned by tests/support/simd_test.cpp and the bench_smoke gate.
+// is pinned by tests/support/simd_test.cpp and the sweep_simd_modes
+// sections of tests/sim/thread_invariance_test.cpp.
 #include "support/simd.hpp"
 
 #include <algorithm>

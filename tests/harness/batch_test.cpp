@@ -5,7 +5,8 @@
 //     experiments hash differently; malformed lines are rejected naming
 //     the key and line;
 //   * determinism — the same spec file produces byte-identical output
-//     streams at 1/2/8 threads and cold vs warm cache;
+//     streams at 1/2/8 threads and with no cache, a cold cache and a warm
+//     cache;
 //   * early stopping — an early-stopped result is bit-identical to a
 //     prefix of the forced full run (the run_monte_carlo_range prefix
 //     property, surfaced end-to-end);
@@ -29,9 +30,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// A small mixed-family spec set that exercises every backend family and
-/// both convergence regimes (all-fail alg1 converges by rate alone; the
-/// alg2m spec runs to exhaustion) while staying tier-1 fast.
+/// A small mixed-family spec set that exercises every backend family while
+/// staying tier-1 fast. Each of these runs its full trial budget.
 constexpr const char* kSpecs[] = {
     "protocol=alg1 family=ignp n=256 delta=8 trials=96 seed=7",
     "protocol=flooding family=csr n=128 delta=6 trials=24 seed=9",
@@ -39,9 +39,14 @@ constexpr const char* kSpecs[] = {
     "protocol=eg2005 family=irgg n=128 radius-mult=2 trials=32 seed=3",
 };
 
+/// kSpecs plus an all-fail alg1 spec that converges by its rate interval
+/// at 64 of 96 trials, so the stream contracts cover an early-stopped
+/// grant schedule too.
 std::vector<BatchSpec> mixed_specs() {
   std::vector<BatchSpec> specs;
   for (const char* line : kSpecs) specs.push_back(parse_batch_spec(line));
+  specs.push_back(parse_batch_spec(
+      "protocol=alg1 family=ignp n=512 delta=8 trials=96 seed=13"));
   return specs;
 }
 
@@ -243,6 +248,8 @@ TEST(BatchRunTest, ColdAndWarmCacheStreamsAreByteIdentical) {
   const std::string warm =
       run_to_string(specs, options, &warm_outcomes, &warm_stats);
   EXPECT_EQ(cold, warm);
+  // Turning the cache on changes no byte of the cold stream either.
+  EXPECT_EQ(cold, run_to_string(specs, BatchOptions{}));
   EXPECT_EQ(warm_stats.cache_hits, specs.size());
   EXPECT_EQ(warm_stats.trials_run, 0u);  // the O(1) repeated-query path
   for (const auto& o : warm_outcomes) EXPECT_TRUE(o.from_cache);

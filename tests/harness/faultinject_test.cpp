@@ -12,6 +12,7 @@
 // Kills are real SIGKILLs delivered to forked children at named fault
 // points (RADNET_FAULT / io::set_fault), so the torn-write windows are
 // exercised deterministically, not by timing luck.
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -82,15 +83,20 @@ std::string run_to_string(const std::vector<BatchSpec>& specs,
 }
 
 /// Runs run_batch in a forked child with `fault` armed, output to
-/// `out_path`. Returns the child's wait status (the armed kill shows up as
-/// WIFSIGNALED/SIGKILL; a run the fault never reached exits 0).
+/// `out_path`, under an RLIMIT_AS of `mem_cap` bytes when nonzero. Returns
+/// the child's wait status (the armed kill shows up as WIFSIGNALED/SIGKILL;
+/// a run the fault never reached exits 0).
 int run_in_child(const std::vector<BatchSpec>& specs,
                  const BatchOptions& options, const std::string& fault,
-                 const std::string& out_path) {
+                 const std::string& out_path, std::uint64_t mem_cap = 0) {
   const pid_t pid = ::fork();
   if (pid == 0) {
     int code = 0;
     try {
+      if (mem_cap > 0) {
+        const rlimit rl{mem_cap, mem_cap};
+        if (::setrlimit(RLIMIT_AS, &rl) != 0) ::_exit(4);
+      }
       io::set_fault(fault);
       std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
       BatchStats stats;
@@ -469,6 +475,29 @@ TEST_F(FaultInjectTest, IsolatedMemoryCapDegradesIntoAnErrorLine) {
   // Family-major order puts the csr error line first; the sibling's line
   // is byte-identical to its in-process run.
   EXPECT_EQ(out.str(), outcomes[0].json + "\n" + sibling);
+}
+
+TEST_F(FaultInjectTest, InProcessOutOfMemoryDegradesIntoAnErrorLine) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer shadow maps cannot live under RLIMIT_AS";
+#endif
+  // Without isolation, the middle spec's per-node state (gigabytes) throws
+  // std::bad_alloc under a cap of 256 MiB above what the child inherits.
+  // The batch must go on: the specs on either side keep their solo bytes.
+  std::istringstream in(
+      "protocol=alg1 family=ignp n=1024 trials=16 seed=7\n"
+      "protocol=alg1 family=ignp n=3000000000 trials=16 seed=7\n"
+      "protocol=alg1 family=ignp n=2048 trials=16 seed=7\n");
+  const auto specs = parse_batch_file(in);
+  const BatchOptions options = serial_options();
+  const std::string expect = run_to_string({specs[0]}, options) +
+                             batch_error_json(specs[1], "error", 1) + "\n" +
+                             run_to_string({specs[2]}, options);
+  const std::string out_path = temp("fi_oom.out");
+  const int status = run_in_child(specs, options, "", out_path,
+                                  mapped_bytes() + (256ull << 20));
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  EXPECT_EQ(io::read_file(out_path).value_or(""), expect);
 }
 
 TEST_F(FaultInjectTest, StartupSweepReapsDeadRunsDebrisButNotLiveTemps) {

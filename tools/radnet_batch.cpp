@@ -33,7 +33,8 @@
 // truncates --out rather than appending to a possibly-torn partial file.
 // --isolate forks each spec into a watchdogged child (crashing or wedged
 // specs degrade into structured "error" JSON lines; see README "Fault
-// tolerance & resume").
+// tolerance & resume"). In-process, a spec whose grant throws
+// std::bad_alloc degrades the same way.
 //
 // A malformed spec line fails the whole run before any trial, naming the
 // line and key. Exit: 0 on success, 1 on any error, 75 interrupted by a
