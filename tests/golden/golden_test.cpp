@@ -10,14 +10,17 @@
 // fingerprints are re-blessed, which turns intentional numeric changes
 // into reviewed diffs of fingerprints.txt.
 //
-// Grid: {alg1, alg2m, flooding, fixed, decay, eg2005} x {csr, ignp,
-// idgnp at churn 0.5, irgg} x {1, 4 threads}. Each scenario is a batch
-// spec line (harness/batch.hpp) run as its trial 0 — the same streams
-// run_monte_carlo uses — with no trace, so the 4-thread runs exercise the
-// sharded sweeps and their bulk-count paths. Four more rows run alg2m and
-// flooding on idgnp with a 2^14-entry pair sketch, small enough to fill:
-// they pin the stale sweep and the inserts dropped at capacity, which the
-// default-capacity idgnp rows never reach.
+// Grid: {alg1, alg2m, flooding, fixed, decay, eg2005, alg3, cr} x {csr,
+// ignp, idgnp at churn 0.5, irgg} x {1, 4 threads}. Each scenario is a
+// batch spec line (harness/batch.hpp) run as its trial 0 — the same
+// streams run_monte_carlo uses — with no trace, so the 4-thread runs
+// exercise the sharded sweeps and their bulk-count paths. Four more rows
+// run alg2m and flooding on idgnp with a pair sketch small enough to fill
+// (2^14 entries for alg2m; 2^10 for flooding, whose 96 rounds make too few
+// deliveries to fill 2^14): they pin the stale sweep and the inserts
+// dropped at capacity, which the default-capacity idgnp rows never reach.
+// Each such row must differ from its default-capacity twin, or it pins
+// nothing the twin does not.
 //
 // Regenerate after an intentional change:
 //   ./build/golden_golden_test --bless
@@ -53,7 +56,8 @@ struct Scenario {
 
 std::vector<Scenario> scenarios() {
   static const char* const kProtocols[] = {"alg1",  "alg2m", "flooding",
-                                           "fixed", "decay", "eg2005"};
+                                           "fixed", "decay", "eg2005",
+                                           "alg3",  "cr"};
   // n is large enough for several 2^16-listener blocks on the sampling
   // backends; the CSR graph stays small (its blocks adapt to the pool).
   static const struct {
@@ -74,14 +78,18 @@ std::vector<Scenario> scenarios() {
                        std::string("protocol=") + protocol + " " +
                            family.spec + " seed=11 max-rounds=96",
                        threads});
-  for (const char* protocol : {"alg2m", "flooding"})
+  static const struct {
+    const char* protocol;
+    std::uint32_t capacity;
+  } kFull[] = {{"alg2m", 1u << 14}, {"flooding", 1u << 10}};
+  for (const auto& full : kFull)
     for (const unsigned threads : {1u, 4u})
-      out.push_back({std::string(protocol) + "/idgnp-full/t" +
+      out.push_back({std::string(full.protocol) + "/idgnp-full/t" +
                          std::to_string(threads),
-                     std::string("protocol=") + protocol +
+                     std::string("protocol=") + full.protocol +
                          " family=idgnp n=131072 churn=0.5 seed=11"
                          " max-rounds=96",
-                     threads, 1u << 14});
+                     threads, full.capacity});
   return out;
 }
 
@@ -160,12 +168,23 @@ TEST(Golden, FingerprintsMatch) {
   }
   const std::map<std::string, std::string> golden = read_fingerprints();
   ASSERT_FALSE(golden.empty()) << "no fingerprints in " << RADNET_GOLDEN_FILE;
+  std::map<std::string, std::string> got;
   for (const Scenario& s : all) {
     const auto it = golden.find(s.name);
     ASSERT_NE(it, golden.end()) << "no fingerprint for " << s.name;
-    EXPECT_EQ(hex(fingerprint(run_trial0(s))), it->second)
+    got[s.name] = hex(fingerprint(run_trial0(s)));
+    EXPECT_EQ(got[s.name], it->second)
         << s.name << " (" << s.spec << ") moved; re-bless only if the "
         << "change is intended and explained";
+  }
+  for (const Scenario& s : all) {
+    const std::size_t at = s.name.find("/idgnp-full/");
+    if (at == std::string::npos) continue;
+    std::string twin = s.name;
+    twin.replace(at, std::strlen("/idgnp-full/"), "/idgnp/");
+    EXPECT_NE(got.at(s.name), got.at(twin))
+        << s.name << " runs as its default-capacity twin " << twin
+        << ": its sketch never fills";
   }
 }
 
