@@ -52,10 +52,11 @@ int main() {
     spec.make_graph = radnet::harness::shared_graph(Digraph(net.graph));
     spec.make_protocol = [&](const Digraph&, std::uint32_t) {
       return std::make_unique<radnet::core::GeneralBroadcastProtocol>(
-          radnet::core::GeneralBroadcastParams{.distribution = dist,
-                                               .window = 0,
-                                               .source = net.source,
-                                               .label = ""});
+          radnet::core::GeneralBroadcastParams{
+              .schedule = radnet::core::sequence_schedule(dist),
+              .window = 0,
+              .source = net.source,
+              .label = ""});
     };
     spec.run_options.max_rounds = deadline;
     const auto result = radnet::harness::run_monte_carlo(spec);

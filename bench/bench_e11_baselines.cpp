@@ -12,9 +12,7 @@
 #include <iostream>
 #include <memory>
 
-#include "baselines/decay.hpp"
-#include "baselines/elsasser_gasieniec.hpp"
-#include "baselines/flooding.hpp"
+#include "baselines/broadcast_baselines.hpp"
 #include "core/broadcast_random.hpp"
 #include "graph/generators.hpp"
 #include "harness/experiment.hpp"
@@ -91,15 +89,16 @@ int main() {
           radnet::core::BroadcastRandomParams{.p = p});
     }, budget);
     run_one("eg2005", [&] {
-      return std::make_unique<radnet::baselines::ElsasserGasieniecProtocol>(
-          radnet::baselines::ElsasserGasieniecParams{.p = p});
+      return std::make_unique<radnet::core::GeneralBroadcastProtocol>(
+          radnet::baselines::eg2005_params(n, p));
     }, budget);
     run_one("decay", [&] {
-      return std::make_unique<radnet::baselines::DecayProtocol>(
-          radnet::baselines::DecayParams{});
+      return std::make_unique<radnet::core::GeneralBroadcastProtocol>(
+          radnet::baselines::decay_params(n));
     }, budget * 4);
     run_one("flooding", [&] {
-      return std::make_unique<radnet::baselines::FloodingProtocol>(0);
+      return std::make_unique<radnet::core::GeneralBroadcastProtocol>(
+          radnet::baselines::flooding_params());
     }, budget);
   }
 

@@ -90,7 +90,8 @@ int main() {
       run_one("alg3(alpha,D)", [&] {
         return std::make_unique<radnet::core::GeneralBroadcastProtocol>(
             radnet::core::GeneralBroadcastParams{
-                .distribution = radnet::core::SequenceDistribution::alpha(n, D),
+                .schedule = radnet::core::sequence_schedule(
+                    radnet::core::SequenceDistribution::alpha(n, D)),
                 .window = radnet::core::general_window(n, 4.0),
                 .source = 0,
                 .label = ""});

@@ -79,7 +79,8 @@ int main(int argc, char** argv) {
             std::ceil(std::log(static_cast<double>(n)) / std::log(n * p))) + 1;
         radnet::core::GeneralBroadcastProtocol proto(
             radnet::core::GeneralBroadcastParams{
-                .distribution = radnet::core::SequenceDistribution::alpha(n, D),
+                .schedule = radnet::core::sequence_schedule(
+                    radnet::core::SequenceDistribution::alpha(n, D)),
                 .window = radnet::core::general_window(n, 4.0),
                 .source = 0,
                 .label = ""});

@@ -36,7 +36,7 @@
 #include <memory>
 #include <string>
 
-#include "baselines/elsasser_gasieniec.hpp"
+#include "baselines/broadcast_baselines.hpp"
 #include "core/broadcast_random.hpp"
 #include "core/gossip_random.hpp"
 #include "graph/generators.hpp"
@@ -126,9 +126,9 @@ int main() {
     return std::make_unique<radnet::core::GossipRumorMarginalProtocol>(
         radnet::core::GossipRumorMarginalParams{.p = p, .round_factor = 8.0});
   };
-  const ProtocolFactory eg2005 = [p] {
-    return std::make_unique<radnet::baselines::ElsasserGasieniecProtocol>(
-        radnet::baselines::ElsasserGasieniecParams{.p = p});
+  const ProtocolFactory eg2005 = [n, p] {
+    return std::make_unique<radnet::core::GeneralBroadcastProtocol>(
+        radnet::baselines::eg2005_params(n, p));
   };
 
   const auto base_spec = [&](const ProtocolFactory& factory,

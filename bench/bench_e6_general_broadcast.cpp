@@ -18,8 +18,7 @@
 #include <iostream>
 #include <memory>
 
-#include "baselines/czumaj_rytter.hpp"
-#include "baselines/decay.hpp"
+#include "baselines/broadcast_baselines.hpp"
 #include "core/broadcast_general.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
@@ -175,8 +174,9 @@ int main(int argc, char** argv) {
     run_protocol_row(t, env, topo, "alg3(alpha)", trials, [&] {
       return std::make_unique<radnet::core::GeneralBroadcastProtocol>(
           radnet::core::GeneralBroadcastParams{
-              .distribution = radnet::core::SequenceDistribution::alpha(
-                  n, topo.diameter),
+              .schedule = radnet::core::sequence_schedule(
+                  radnet::core::SequenceDistribution::alpha(n,
+                                                            topo.diameter)),
               .window = radnet::core::general_window(n, 4.0),
               .source = 0,
               .label = "alg3"});
@@ -193,8 +193,8 @@ int main(int argc, char** argv) {
     const auto decay_phases = static_cast<std::uint32_t>(
         std::ceil(4.0 * std::log2(static_cast<double>(n))));
     run_protocol_row(t, env, topo, "decay", trials, [&] {
-      return std::make_unique<radnet::baselines::DecayProtocol>(
-          radnet::baselines::DecayParams{.active_phases = decay_phases});
+      return std::make_unique<radnet::core::GeneralBroadcastProtocol>(
+          radnet::baselines::decay_params(n, 0, decay_phases));
     }, budget);
   }
 

@@ -58,7 +58,7 @@ int main() {
     spec.make_protocol = [&](const Digraph&, std::uint32_t) {
       return std::make_unique<radnet::core::GeneralBroadcastProtocol>(
           radnet::core::GeneralBroadcastParams{
-              .distribution = dist,
+              .schedule = radnet::core::sequence_schedule(dist),
               .window = radnet::core::general_window(n, 6.0),
               .source = 0,
               .label = ""});

@@ -13,7 +13,7 @@
 #include <iostream>
 #include <memory>
 
-#include "baselines/fixed_prob.hpp"
+#include "baselines/broadcast_baselines.hpp"
 #include "graph/lower_bound_nets.hpp"
 #include "harness/experiment.hpp"
 #include "harness/monte_carlo.hpp"
@@ -63,9 +63,9 @@ int main() {
         spec.make_graph =
             radnet::harness::shared_graph(Digraph(net.graph));
         spec.make_protocol = [&](const Digraph&, std::uint32_t) {
-          return std::make_unique<radnet::baselines::FixedProbProtocol>(
-              radnet::baselines::FixedProbParams{.q = q,
-                                                 .source = net.source});
+          return std::make_unique<radnet::core::GeneralBroadcastProtocol>(
+              radnet::baselines::fixed_params(net.graph.num_nodes(), q,
+                                              net.source));
         };
         spec.run_options.max_rounds = budget;
         const auto result = radnet::harness::run_monte_carlo(spec);

@@ -73,7 +73,7 @@ int main() {
     spec.make_protocol = [&](const Digraph&, std::uint32_t) {
       return std::make_unique<radnet::core::GeneralBroadcastProtocol>(
           radnet::core::GeneralBroadcastParams{
-              .distribution = dist,
+              .schedule = radnet::core::sequence_schedule(dist),
               .window = 0,  // time-invariant: active forever
               .source = net.source,
               .label = ""});

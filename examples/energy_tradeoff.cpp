@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     spec.make_protocol = [&](const graph::Digraph&, std::uint32_t) {
       return std::make_unique<core::GeneralBroadcastProtocol>(
           core::GeneralBroadcastParams{
-              .distribution = dist,
+              .schedule = core::sequence_schedule(dist),
               .window = core::general_window(n, 6.0),
               .source = 0,
               .label = ""});

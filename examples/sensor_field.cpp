@@ -12,7 +12,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "baselines/decay.hpp"
+#include "baselines/broadcast_baselines.hpp"
 #include "core/broadcast_general.hpp"
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
@@ -68,7 +68,8 @@ int main(int argc, char** argv) {
 
   {
     core::GeneralBroadcastProtocol alg3(core::GeneralBroadcastParams{
-        .distribution = core::SequenceDistribution::alpha(n, D),
+        .schedule = core::sequence_schedule(
+            core::SequenceDistribution::alpha(n, D)),
         .window = core::general_window(n, 4.0),
         .source = 0,
         .label = "alg3"});
@@ -80,7 +81,7 @@ int main(int argc, char** argv) {
     report("alg3 (this paper)", engine.run(field, alg3, Rng(seed + 2), options));
   }
   {
-    baselines::DecayProtocol decay(baselines::DecayParams{.source = 0});
+    core::GeneralBroadcastProtocol decay(baselines::decay_params(n));
     sim::Engine engine;
     sim::RunOptions options;
     options.max_rounds =

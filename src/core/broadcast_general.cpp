@@ -25,24 +25,26 @@ sim::Round general_round_budget(std::uint64_t n, std::uint64_t diameter,
   return static_cast<sim::Round>(std::ceil(bound));
 }
 
+RoundSchedule sequence_schedule(SequenceDistribution distribution) {
+  return [d = std::move(distribution)](sim::Round /*r*/, Rng& rng) {
+    const std::optional<std::uint32_t> k = d.sample(rng);
+    return k ? pow2_neg(*k) : 0.0;
+  };
+}
+
 GeneralBroadcastProtocol::GeneralBroadcastProtocol(GeneralBroadcastParams params)
     : params_(std::move(params)) {}
 
 void GeneralBroadcastProtocol::reset(NodeId num_nodes, Rng rng) {
   RADNET_REQUIRE(num_nodes >= 2, "Algorithm 3 needs n >= 2");
-  n_ = num_nodes;
   rng_ = rng;
-  RADNET_REQUIRE(params_.source < n_, "source out of range");
-  state_.reset(n_, params_.source);
-  current_k_.reset();
-  current_tx_prob_ = 0.0;
+  RADNET_REQUIRE(params_.source < num_nodes, "source out of range");
+  state_.reset(num_nodes, params_.source);
+  round_prob_ = 0.0;
 }
 
-void GeneralBroadcastProtocol::begin_round(sim::Round /*r*/) {
-  // One shared draw per round: the whole network sees the same I_r (common
-  // randomness, as in the selection sequences of [11]).
-  current_k_ = params_.distribution.sample(rng_);
-  current_tx_prob_ = current_k_ ? pow2_neg(*current_k_) : 0.0;
+void GeneralBroadcastProtocol::begin_round(sim::Round r) {
+  round_prob_ = params_.schedule(r, rng_);
 }
 
 std::span<const NodeId> GeneralBroadcastProtocol::candidates() const {
@@ -50,26 +52,27 @@ std::span<const NodeId> GeneralBroadcastProtocol::candidates() const {
 }
 
 bool GeneralBroadcastProtocol::wants_transmit(NodeId v, sim::Round r) {
-  if (params_.window != 0) {
-    const sim::Round t_u = state_.informed_time(v);
-    if (r >= t_u + params_.window) {
-      state_.deactivate(v);  // the paper's "u becomes passive"
-      return false;
-    }
+  if ((params_.horizon != 0 && r >= params_.horizon) ||
+      (params_.window != 0 && r >= state_.informed_time(v) + params_.window)) {
+    state_.deactivate(v);  // the paper's "u becomes passive"
+    return false;
   }
-  if (current_tx_prob_ <= 0.0) return false;
-  return rng_.bernoulli(current_tx_prob_);
+  // bernoulli draws nothing at probability 0 or 1, so flooding and silent
+  // rounds consume no randomness.
+  return rng_.bernoulli(round_prob_);
 }
 
 void GeneralBroadcastProtocol::on_delivered(NodeId receiver, NodeId sender,
                                             sim::Round r) {
-  state_.deliver(receiver, r, true, state_.copy_is_valid(sender));
+  state_.deliver(receiver, r, r <= params_.activate_through,
+                 state_.copy_is_valid(sender));
 }
 
 void GeneralBroadcastProtocol::on_delivered_corrupted(NodeId receiver,
                                                       NodeId /*sender*/,
                                                       sim::Round r) {
-  state_.deliver(receiver, r, true, /*copy_valid=*/false);
+  state_.deliver(receiver, r, r <= params_.activate_through,
+                 /*copy_valid=*/false);
 }
 
 void GeneralBroadcastProtocol::end_round(sim::Round /*r*/) { state_.commit(); }
@@ -79,8 +82,7 @@ bool GeneralBroadcastProtocol::is_complete() const {
 }
 
 std::string GeneralBroadcastProtocol::name() const {
-  if (!params_.label.empty()) return params_.label;
-  return "alg3[" + params_.distribution.name() + "]";
+  return params_.label.empty() ? "alg3" : params_.label;
 }
 
 }  // namespace radnet::core

@@ -999,12 +999,16 @@ std::vector<BatchOutcome> run_batch(const std::vector<BatchSpec>& specs,
            options.cancel->load(std::memory_order_relaxed);
   };
 
+  // Each emitted line is flushed at once, so a consumer (or a file a later
+  // signal leaves behind) holds every finished spec's line, not just the
+  // ones a full stream buffer happened to push out.
   std::size_t frontier = 0;
   const auto flush = [&] {
     while (frontier < order.size() && states[order[frontier]].done) {
       out << states[order[frontier]].json << '\n';
       ++frontier;
     }
+    out.flush();
   };
 
   // Journal-then-emit: the result record is committed before the line can

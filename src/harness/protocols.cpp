@@ -1,10 +1,6 @@
 #include "harness/protocols.hpp"
 
-#include "baselines/czumaj_rytter.hpp"
-#include "baselines/decay.hpp"
-#include "baselines/elsasser_gasieniec.hpp"
-#include "baselines/fixed_prob.hpp"
-#include "baselines/flooding.hpp"
+#include "baselines/broadcast_baselines.hpp"
 #include "baselines/gossip_baselines.hpp"
 #include "core/broadcast_general.hpp"
 #include "core/broadcast_random.hpp"
@@ -35,8 +31,8 @@ constexpr ProtocolEntry kTable[] = {
            a.lambda > 0.0 ? a.lambda : lambda_of(a.n, a.diameter);
        return std::make_unique<core::GeneralBroadcastProtocol>(
            core::GeneralBroadcastParams{
-               .distribution =
-                   core::SequenceDistribution::alpha_with_lambda(a.n, lambda),
+               .schedule = core::sequence_schedule(
+                   core::SequenceDistribution::alpha_with_lambda(a.n, lambda)),
                .window = core::general_window(a.n, 4.0),
                .source = a.source,
                .label = "alg3"});
@@ -46,19 +42,20 @@ constexpr ProtocolEntry kTable[] = {
            baselines::czumaj_rytter_params(a.n, a.diameter, 4.0, a.source));
      }},
     {"decay", [](const ProtocolArgs& a) -> Made {
-       return std::make_unique<baselines::DecayProtocol>(
-           baselines::DecayParams{.source = a.source});
+       return std::make_unique<core::GeneralBroadcastProtocol>(
+           baselines::decay_params(a.n, a.source));
      }},
     {"eg2005", [](const ProtocolArgs& a) -> Made {
-       return std::make_unique<baselines::ElsasserGasieniecProtocol>(
-           baselines::ElsasserGasieniecParams{.p = a.p, .source = a.source});
+       return std::make_unique<core::GeneralBroadcastProtocol>(
+           baselines::eg2005_params(a.n, a.p, a.source));
      }},
     {"flooding", [](const ProtocolArgs& a) -> Made {
-       return std::make_unique<baselines::FloodingProtocol>(a.source);
+       return std::make_unique<core::GeneralBroadcastProtocol>(
+           baselines::flooding_params(a.source));
      }},
     {"fixed", [](const ProtocolArgs& a) -> Made {
-       return std::make_unique<baselines::FixedProbProtocol>(
-           baselines::FixedProbParams{.q = a.q, .source = a.source});
+       return std::make_unique<core::GeneralBroadcastProtocol>(
+           baselines::fixed_params(a.n, a.q, a.source));
      }},
     {"tdma", [](const ProtocolArgs&) -> Made {
        return std::make_unique<baselines::TdmaGossipProtocol>();

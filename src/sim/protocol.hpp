@@ -115,10 +115,11 @@ class Protocol {
   /// that arrived is corrupted. Nodes cannot authenticate messages, so the
   /// receiver's *behaviour* must match a genuine delivery exactly — only
   /// the omniscient provenance bookkeeping may differ. Provenance-tracking
-  /// protocols (BroadcastState-based: Algorithm 1, the gossip marginal)
-  /// override this to mark the receiver's copy invalid; the copy's
-  /// invalidity then propagates along every further relay, and is_complete
-  /// counts only valid copies. The default forwards to on_delivered: a
+  /// protocols (BroadcastState-based: Algorithm 1, the gossip marginal,
+  /// and GeneralBroadcastProtocol — Algorithm 3, Czumaj–Rytter, Decay,
+  /// Elsässer–Gasieniec, flooding, fixed q) override this to mark the
+  /// receiver's copy invalid; the copy's invalidity then propagates along
+  /// every further relay, and is_complete counts only valid copies. The default forwards to on_delivered: a
   /// protocol without provenance treats the corrupted copy as genuine, so
   /// Byzantine runs of such a protocol measure spread, not validity
   /// (documented per protocol in README's adversary matrix).

@@ -2,11 +2,7 @@
 
 #include <cmath>
 
-#include "baselines/czumaj_rytter.hpp"
-#include "baselines/decay.hpp"
-#include "baselines/elsasser_gasieniec.hpp"
-#include "baselines/fixed_prob.hpp"
-#include "baselines/flooding.hpp"
+#include "baselines/broadcast_baselines.hpp"
 #include "baselines/gossip_baselines.hpp"
 #include "graph/generators.hpp"
 #include "graph/lower_bound_nets.hpp"
@@ -16,6 +12,7 @@
 namespace radnet::baselines {
 namespace {
 
+using core::GeneralBroadcastProtocol;
 using graph::Digraph;
 
 // ---------------------------------------------------------------- flooding
@@ -30,7 +27,7 @@ TEST(FloodingTest, WorksOnDirectedOutTree) {
     edges.push_back({v, static_cast<graph::NodeId>(2 * v + 2)});
   }
   const Digraph g(15, edges);
-  FloodingProtocol proto(0);
+  GeneralBroadcastProtocol proto(flooding_params());
   sim::Engine engine;
   sim::RunOptions options;
   options.max_rounds = 100;
@@ -45,7 +42,7 @@ TEST(FloodingTest, StallsForeverOnCollisionTopology) {
   // Obs. 4.3 network: after round 1 all 2n intermediates are informed and
   // *all* transmit every round — every destination hears noise forever.
   const auto net = graph::obs43_network(8);
-  FloodingProtocol proto(net.source);
+  GeneralBroadcastProtocol proto(flooding_params(net.source));
   sim::Engine engine;
   sim::RunOptions options;
   options.max_rounds = 500;
@@ -58,15 +55,16 @@ TEST(FloodingTest, StallsForeverOnCollisionTopology) {
 // ------------------------------------------------------------------- decay
 
 TEST(DecayTest, PhaseLengthIsCeilLog2Plus1) {
-  DecayProtocol proto(DecayParams{});
-  proto.reset(1000, Rng(1));
-  EXPECT_EQ(proto.phase_length(), 11u);  // ceil(log2 1000) = 10, +1
+  EXPECT_EQ(decay_phase_length(1000), 11u);  // ceil(log2 1000) = 10, +1
+  EXPECT_EQ(decay_params(1000, 0, 3).window, 33u);
+  EXPECT_THROW((void)decay_params(1), std::invalid_argument);
 }
 
 TEST(DecayTest, CompletesOnObs43Network) {
   // Decay handles exactly the situation flooding cannot.
   const auto net = graph::obs43_network(16);
-  DecayProtocol proto(DecayParams{.source = net.source});
+  GeneralBroadcastProtocol proto(
+      decay_params(net.graph.num_nodes(), net.source));
   sim::Engine engine;
   sim::RunOptions options;
   options.max_rounds = 20000;
@@ -77,7 +75,7 @@ TEST(DecayTest, CompletesOnObs43Network) {
 TEST(DecayTest, CompletesOnGridAndRandom) {
   {
     const Digraph g = graph::grid(10, 10);
-    DecayProtocol proto(DecayParams{});
+    GeneralBroadcastProtocol proto(decay_params(g.num_nodes()));
     sim::Engine engine;
     sim::RunOptions options;
     options.max_rounds = 50000;
@@ -87,7 +85,7 @@ TEST(DecayTest, CompletesOnGridAndRandom) {
     Rng grng(5);
     const std::uint32_t n = 512;
     const Digraph g = graph::gnp_directed(n, 16.0 * std::log(n) / n, grng);
-    DecayProtocol proto(DecayParams{});
+    GeneralBroadcastProtocol proto(decay_params(n));
     sim::Engine engine;
     sim::RunOptions options;
     options.max_rounds = 50000;
@@ -97,7 +95,7 @@ TEST(DecayTest, CompletesOnGridAndRandom) {
 
 TEST(DecayTest, ActivePhaseWindowSilencesNodes) {
   const Digraph g = graph::path(64);
-  DecayProtocol proto(DecayParams{.source = 0, .active_phases = 1});
+  GeneralBroadcastProtocol proto(decay_params(64, 0, 1));
   sim::Engine engine;
   sim::RunOptions options;
   options.max_rounds = 100000;
@@ -106,7 +104,7 @@ TEST(DecayTest, ActivePhaseWindowSilencesNodes) {
   // One phase (~7 rounds) per node is plenty on a path; whether or not it
   // completes, no node may exceed one phase worth of transmissions.
   const double per_phase =
-      static_cast<double>(proto.phase_length());  // <= ~2 expected
+      static_cast<double>(decay_phase_length(64));  // <= ~2 expected
   EXPECT_LE(r.ledger.max_tx_per_node(), per_phase);
 }
 
@@ -117,12 +115,11 @@ TEST(ElsasserGasieniecTest, CompletesOnRandomGraph) {
   const std::uint32_t n = 1024;
   const double p = 16.0 * std::log(n) / n;
   const Digraph g = graph::gnp_directed(n, p, grng);
-  ElsasserGasieniecProtocol proto(ElsasserGasieniecParams{.p = p});
+  const core::GeneralBroadcastParams params = eg2005_params(n, p);
+  GeneralBroadcastProtocol proto(params);
   sim::Engine engine;
   sim::RunOptions options;
-  ElsasserGasieniecProtocol probe(ElsasserGasieniecParams{.p = p});
-  probe.reset(n, Rng(0));
-  options.max_rounds = probe.round_budget();
+  options.max_rounds = params.horizon;  // the round budget
   const auto r = engine.run(g, proto, Rng(9), options);
   EXPECT_TRUE(r.completed);
 }
@@ -134,22 +131,38 @@ TEST(ElsasserGasieniecTest, UsesMoreTransmissionsPerNodeThanOurAlg) {
   const std::uint32_t n = 4096;
   const double p = std::pow(static_cast<double>(n), -0.55);  // T >= 2
   const Digraph g = graph::gnp_directed(n, p, grng);
-  ElsasserGasieniecProtocol proto(ElsasserGasieniecParams{.p = p});
+  const core::GeneralBroadcastParams params = eg2005_params(n, p);
+  GeneralBroadcastProtocol proto(params);
   sim::Engine engine;
   sim::RunOptions options;
-  ElsasserGasieniecProtocol probe(ElsasserGasieniecParams{.p = p});
-  probe.reset(n, Rng(0));
-  options.max_rounds = probe.round_budget();
+  options.max_rounds = params.horizon;
   const auto r = engine.run(g, proto, Rng(11), options);
   ASSERT_TRUE(r.completed);
   EXPECT_GT(r.ledger.max_tx_per_node(), 1u);
+}
+
+TEST(ElsasserGasieniecTest, ParamsEncodeThePhases) {
+  // n = 4096, p = 1/64: d = 64, T = floor(12 / 6) = 2, Phase 2 transmits
+  // with n/d^{T+1} = 1/64, Phase 3 with 1/d and lasts ceil(32 * 12) rounds.
+  const core::GeneralBroadcastParams params = eg2005_params(4096, 1.0 / 64);
+  EXPECT_EQ(params.label, "eg2005");
+  EXPECT_EQ(params.activate_through, 2u);
+  EXPECT_EQ(params.horizon, 2u + 1u + 384u);
+  EXPECT_EQ(params.window, 0u);
+  Rng rng(1);
+  EXPECT_EQ(params.schedule(0, rng), 1.0);
+  EXPECT_EQ(params.schedule(1, rng), 1.0);
+  EXPECT_DOUBLE_EQ(params.schedule(2, rng), 1.0 / 64);
+  EXPECT_DOUBLE_EQ(params.schedule(3, rng), 1.0 / 64);
+  EXPECT_THROW((void)eg2005_params(4096, 1.0 / 8192), std::invalid_argument);
 }
 
 // ------------------------------------------------------------- fixed prob
 
 TEST(FixedProbTest, CompletesOnObs43GivenEnoughRounds) {
   const auto net = graph::obs43_network(8);
-  FixedProbProtocol proto(FixedProbParams{.q = 0.5, .source = net.source});
+  GeneralBroadcastProtocol proto(
+      fixed_params(net.graph.num_nodes(), 0.5, net.source));
   sim::Engine engine;
   sim::RunOptions options;
   options.max_rounds = 5000;
@@ -159,8 +172,8 @@ TEST(FixedProbTest, CompletesOnObs43GivenEnoughRounds) {
 
 TEST(FixedProbTest, WindowLimitsEnergy) {
   const auto net = graph::obs43_network(8);
-  FixedProbProtocol proto(
-      FixedProbParams{.q = 0.5, .source = net.source, .window = 4});
+  GeneralBroadcastProtocol proto(
+      fixed_params(net.graph.num_nodes(), 0.5, net.source, 4));
   sim::Engine engine;
   sim::RunOptions options;
   options.max_rounds = 5000;
@@ -170,15 +183,13 @@ TEST(FixedProbTest, WindowLimitsEnergy) {
 }
 
 TEST(FixedProbTest, NameEncodesQ) {
-  FixedProbProtocol proto(FixedProbParams{.q = 0.25});
+  GeneralBroadcastProtocol proto(fixed_params(64, 0.25));
   EXPECT_EQ(proto.name(), "fixed(q=0.25)");
 }
 
 TEST(FixedProbTest, RejectsBadQ) {
-  EXPECT_THROW(FixedProbProtocol(FixedProbParams{.q = 0.0}),
-               std::invalid_argument);
-  EXPECT_THROW(FixedProbProtocol(FixedProbParams{.q = 1.5}),
-               std::invalid_argument);
+  EXPECT_THROW((void)fixed_params(64, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)fixed_params(64, 1.5), std::invalid_argument);
 }
 
 // --------------------------------------------------------- Czumaj–Rytter
@@ -192,7 +203,7 @@ TEST(CzumajRytterTest, WindowIsLambdaTimesLogSquared) {
 TEST(CzumajRytterTest, CompletesOnPathWithKnownD) {
   const std::uint32_t n = 128;
   const Digraph g = graph::path(n);
-  auto proto = std::make_unique<core::GeneralBroadcastProtocol>(
+  auto proto = std::make_unique<GeneralBroadcastProtocol>(
       czumaj_rytter_params(n, n - 1, 4.0));
   sim::RunOptions options;
   options.max_rounds = core::general_round_budget(n, n - 1, 1.0, 64.0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/metrics.hpp"
@@ -17,7 +18,7 @@ using graph::Digraph;
 GeneralBroadcastParams make_params(std::uint64_t n, std::uint64_t D,
                                    double beta = 2.0) {
   return GeneralBroadcastParams{
-      .distribution = SequenceDistribution::alpha(n, D),
+      .schedule = sequence_schedule(SequenceDistribution::alpha(n, D)),
       .window = general_window(n, beta),
       .source = 0,
       .label = ""};
@@ -110,7 +111,7 @@ TEST(GeneralBroadcastTest, NodesGoPassiveAfterWindow) {
   // engine stops early instead of spinning to max_rounds.
   const Digraph g = graph::path(128);
   GeneralBroadcastParams params{
-      .distribution = SequenceDistribution::alpha(128, 127),
+      .schedule = sequence_schedule(SequenceDistribution::alpha(128, 127)),
       .window = 3,
       .source = 0,
       .label = "tiny-window"};
@@ -127,7 +128,7 @@ TEST(GeneralBroadcastTest, NodesGoPassiveAfterWindow) {
 TEST(GeneralBroadcastTest, UnlimitedWindowNeverStalls) {
   const Digraph g = graph::path(64);
   GeneralBroadcastParams params{
-      .distribution = SequenceDistribution::alpha(64, 63),
+      .schedule = sequence_schedule(SequenceDistribution::alpha(64, 63)),
       .window = 0,  // unlimited
       .source = 0,
       .label = ""};
@@ -140,18 +141,53 @@ TEST(GeneralBroadcastTest, UnlimitedWindowNeverStalls) {
   EXPECT_TRUE(r.completed);
 }
 
-TEST(GeneralBroadcastTest, SharedSequenceDrawnOncePerRound) {
-  // current_k is a per-round global; all nodes see the same value. We check
-  // it is refreshed every round via the observer.
-  const Digraph g = graph::complete(16);
-  GeneralBroadcastProtocol proto(make_params(16, 1));
+TEST(GeneralBroadcastTest, ScheduleIsEvaluatedOncePerRound) {
+  // The round probability is one value for the whole network: begin_round
+  // evaluates the schedule exactly once per round, whatever the number of
+  // candidates.
+  std::vector<sim::Round> rounds;
+  GeneralBroadcastParams params{
+      .schedule = [&](sim::Round r, Rng&) {
+        rounds.push_back(r);
+        return 0.5;
+      }};
+  GeneralBroadcastProtocol proto(params);
+  sim::RunOptions options;
+  options.max_rounds = 6;
+  sim::Engine engine;
+  (void)engine.run(graph::path(16), proto, Rng(12), options);
+  EXPECT_EQ(rounds, (std::vector<sim::Round>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(GeneralBroadcastTest, HorizonSilencesEveryNode) {
+  // Flooding on a path with horizon 2: rounds 0 and 1 move the wavefront
+  // one hop each (1 + 2 transmissions), then every node goes passive.
+  GeneralBroadcastProtocol proto(GeneralBroadcastParams{
+      .schedule = [](sim::Round, Rng&) { return 1.0; }, .horizon = 2});
   sim::RunOptions options;
   options.max_rounds = 64;
-  int rounds_seen = 0;
-  options.round_observer = [&](sim::Round) { ++rounds_seen; };
+  options.stop_on_empty_candidates = true;
   sim::Engine engine;
-  (void)engine.run(g, proto, Rng(11), options);
-  EXPECT_GT(rounds_seen, 0);
+  const auto r = engine.run(graph::path(16), proto, Rng(13), options);
+  EXPECT_FALSE(r.completed);
+  EXPECT_EQ(proto.informed_count(), 3u);
+  EXPECT_EQ(r.ledger.total_transmissions, 3u);
+  EXPECT_EQ(proto.active_count(), 0u);
+}
+
+TEST(GeneralBroadcastTest, LateInformeesStaySilentAfterActivateThrough) {
+  // Flooding on a path activating only receivers reached in rounds <= 1:
+  // node 3, informed in round 2, never relays, so the wave stops there.
+  GeneralBroadcastProtocol proto(GeneralBroadcastParams{
+      .schedule = [](sim::Round, Rng&) { return 1.0; },
+      .activate_through = 1});
+  sim::RunOptions options;
+  options.max_rounds = 64;
+  sim::Engine engine;
+  const auto r = engine.run(graph::path(16), proto, Rng(14), options);
+  EXPECT_FALSE(r.completed);
+  EXPECT_EQ(proto.informed_count(), 4u);
+  EXPECT_EQ(proto.active_count(), 3u);
 }
 
 TEST(GeneralBroadcastTest, TradeoffLambdaReducesEnergyIncreasesTime) {
@@ -161,7 +197,8 @@ TEST(GeneralBroadcastTest, TradeoffLambdaReducesEnergyIncreasesTime) {
   const Digraph g = graph::path(n);
   const auto measure = [&](double lambda, std::uint64_t seed) {
     GeneralBroadcastParams params{
-        .distribution = SequenceDistribution::alpha_with_lambda(n, lambda),
+        .schedule = sequence_schedule(
+            SequenceDistribution::alpha_with_lambda(n, lambda)),
         .window = general_window(n, 4.0),
         .source = 0,
         .label = ""};
@@ -190,7 +227,7 @@ TEST(GeneralBroadcastTest, TradeoffLambdaReducesEnergyIncreasesTime) {
 
 TEST(GeneralBroadcastTest, InvalidSetupThrows) {
   GeneralBroadcastParams params{
-      .distribution = SequenceDistribution::alpha(64, 8),
+      .schedule = sequence_schedule(SequenceDistribution::alpha(64, 8)),
       .window = 10,
       .source = 70,  // out of range for n = 64
       .label = ""};

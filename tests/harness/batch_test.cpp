@@ -12,10 +12,15 @@
 //     property, surfaced end-to-end);
 //   * caching — repeated specs are answered from the in-run memo / disk
 //     cache without re-running trials.
+//   * streaming — each result line is flushed before the next spec is
+//     granted.
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -220,6 +225,75 @@ TEST(BatchRunTest, CliOnlyProtocolsRunFromSpecLines) {
         << json;
     EXPECT_NE(json.find("\"successes\":4"), std::string::npos) << json;
   }
+}
+
+/// A stream sink that records, at each sync() (what std::ostream::flush
+/// calls), the bytes a reader of the sink could see at that moment.
+class SyncRecorder : public std::streambuf {
+ public:
+  std::vector<std::string> synced;  ///< visible bytes at each sync
+  std::function<void()> on_sync;
+
+ protected:
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof()))
+      pending_ += traits_type::to_char_type(c);
+    return traits_type::not_eof(c);
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    pending_.append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+  int sync() override {
+    visible_ += pending_;
+    pending_.clear();
+    synced.push_back(visible_);
+    if (on_sync) on_sync();
+    return 0;
+  }
+
+ private:
+  std::string pending_;  ///< written but not yet flushed
+  std::string visible_;
+};
+
+TEST(BatchRunTest, EachResultLineIsFlushedBeforeTheNextGrant) {
+  // Three csr specs that each finish in their one grant, emitted in input
+  // order: line i must be flushed before spec i+1 is granted.
+  std::vector<BatchSpec> specs;
+  for (const char* seed : {"1", "2", "3"})
+    specs.push_back(parse_batch_spec(
+        std::string("protocol=alg1 family=csr n=64 delta=6 trials=16 "
+                    "seed=") + seed));
+  BatchOptions options;
+  options.threads = 1;
+  std::vector<BatchOutcome> outcomes;
+  (void)run_to_string(specs, options, &outcomes);
+  ASSERT_EQ(outcomes.size(), 3u);
+  std::vector<std::string> prefixes(1);
+  for (const BatchOutcome& o : outcomes)
+    prefixes.push_back(prefixes.back() + o.json + '\n');
+
+  SyncRecorder sink;
+  std::ostream out(&sink);
+  (void)run_batch(specs, options, out);
+  ASSERT_GE(sink.synced.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i)
+    EXPECT_EQ(sink.synced[i], prefixes[i + 1]) << "sync " << i;
+
+  // Cancel as soon as the first line is visible: the grant-boundary poll
+  // must then stop the run before spec 2 runs a trial.
+  std::atomic<bool> cancel{false};
+  SyncRecorder cancelling;
+  cancelling.on_sync = [&] { cancel = true; };
+  std::ostream cancelled_out(&cancelling);
+  options.cancel = &cancel;
+  BatchStats stats;
+  (void)run_batch(specs, options, cancelled_out, &stats);
+  EXPECT_TRUE(stats.interrupted);
+  EXPECT_EQ(stats.trials_run, 16u);
+  ASSERT_FALSE(cancelling.synced.empty());
+  EXPECT_EQ(cancelling.synced.back(), prefixes[1]);
 }
 
 TEST(BatchRunTest, OutputBytesAreIdenticalAcrossThreadCounts) {

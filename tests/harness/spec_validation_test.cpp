@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/flooding.hpp"
+#include "baselines/broadcast_baselines.hpp"
 #include "harness/monte_carlo.hpp"
 
 namespace radnet::harness {
@@ -18,7 +18,8 @@ McSpec valid_spec() {
   spec.trials = 4;
   spec.implicit_gnp = sim::ImplicitGnp{256, 0.05, Rng{}};
   spec.make_protocol = [](const graph::Digraph&, std::uint32_t) {
-    return std::make_unique<baselines::FloodingProtocol>(0);
+    return std::make_unique<core::GeneralBroadcastProtocol>(
+        baselines::flooding_params());
   };
   return spec;
 }

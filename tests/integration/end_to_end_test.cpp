@@ -4,8 +4,7 @@
 
 #include <cmath>
 
-#include "baselines/decay.hpp"
-#include "baselines/elsasser_gasieniec.hpp"
+#include "baselines/broadcast_baselines.hpp"
 #include "core/broadcast_general.hpp"
 #include "core/broadcast_random.hpp"
 #include "core/gossip_random.hpp"
@@ -44,8 +43,8 @@ TEST(EndToEnd, Alg1BeatsEgOnEnergyAtSimilarTime) {
   };
   auto eg_spec = base;
   eg_spec.make_protocol = [&](const Digraph&, std::uint32_t) {
-    return std::make_unique<baselines::ElsasserGasieniecProtocol>(
-        baselines::ElsasserGasieniecParams{.p = p});
+    return std::make_unique<core::GeneralBroadcastProtocol>(
+        baselines::eg2005_params(n, p));
   };
 
   const auto alg1 = harness::run_monte_carlo(alg1_spec);
@@ -75,15 +74,16 @@ TEST(EndToEnd, Alg3EnergyBeatsDecayOnCollisionHeavyNetwork) {
   alg3_spec.make_protocol = [&](const Digraph&, std::uint32_t) {
     return std::make_unique<core::GeneralBroadcastProtocol>(
         core::GeneralBroadcastParams{
-            .distribution = core::SequenceDistribution::alpha(n, 2),
+            .schedule = core::sequence_schedule(
+                core::SequenceDistribution::alpha(n, 2)),
             .window = core::general_window(n, 4.0),
             .source = net.source,
             .label = ""});
   };
   auto decay_spec = base;
   decay_spec.make_protocol = [&](const Digraph&, std::uint32_t) {
-    return std::make_unique<baselines::DecayProtocol>(
-        baselines::DecayParams{.source = net.source});
+    return std::make_unique<core::GeneralBroadcastProtocol>(
+        baselines::decay_params(n, net.source));
   };
 
   const auto alg3 = harness::run_monte_carlo(alg3_spec);
@@ -117,7 +117,8 @@ TEST(EndToEnd, Alg3HandlesThm44NetworkEventually) {
   const auto net = graph::thm44_network(64, 40);
   const std::uint64_t n = net.graph.num_nodes();
   core::GeneralBroadcastProtocol proto(core::GeneralBroadcastParams{
-      .distribution = core::SequenceDistribution::alpha(n, net.diameter),
+      .schedule = core::sequence_schedule(
+          core::SequenceDistribution::alpha(n, net.diameter)),
       .window = core::general_window(n, 8.0),
       .source = net.source,
       .label = ""});
@@ -136,7 +137,8 @@ TEST(EndToEnd, BroadcastTimeTracksDiameterOnPaths) {
   const auto time_for = [&](std::uint32_t n, std::uint64_t seed) {
     const Digraph g = graph::path(n);
     core::GeneralBroadcastProtocol proto(core::GeneralBroadcastParams{
-        .distribution = core::SequenceDistribution::alpha(n, n - 1),
+        .schedule = core::sequence_schedule(
+            core::SequenceDistribution::alpha(n, n - 1)),
         .window = core::general_window(n, 4.0),
         .source = 0,
         .label = ""});

@@ -6,7 +6,7 @@
 
 #include <cmath>
 
-#include "baselines/decay.hpp"
+#include "baselines/broadcast_baselines.hpp"
 #include "core/broadcast_general.hpp"
 #include "core/broadcast_random.hpp"
 #include "core/dynamic_gossip.hpp"
@@ -55,7 +55,8 @@ TEST(FailureInjection, PartitionedGraphReportsFailureNotSuccess) {
       }
   const Digraph g(16, edges);
   core::GeneralBroadcastProtocol proto(core::GeneralBroadcastParams{
-      .distribution = core::SequenceDistribution::alpha(16, 2),
+      .schedule = core::sequence_schedule(
+          core::SequenceDistribution::alpha(16, 2)),
       .window = 0,
       .source = 0,
       .label = ""});
@@ -142,7 +143,7 @@ TEST(FailureInjection, WeightedEnergyOrderingRobustToRxCost) {
   const auto r1 = e1.run(g, alg1, Rng(8), options);
   ASSERT_TRUE(r1.completed);
 
-  baselines::DecayProtocol decay(baselines::DecayParams{});
+  core::GeneralBroadcastProtocol decay(baselines::decay_params(n));
   sim::Engine e2;
   const auto r2 = e2.run(g, decay, Rng(8), options);
   ASSERT_TRUE(r2.completed);

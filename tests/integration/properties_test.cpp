@@ -158,7 +158,8 @@ TEST_P(Alg3Properties, ActiveWindowBoundsPerNodeEnergy) {
 
   const sim::Round window = core::general_window(n, 2.0);
   core::GeneralBroadcastProtocol proto(core::GeneralBroadcastParams{
-      .distribution = core::SequenceDistribution::alpha(n, *dia),
+      .schedule = core::sequence_schedule(
+          core::SequenceDistribution::alpha(n, *dia)),
       .window = window,
       .source = 0,
       .label = ""});

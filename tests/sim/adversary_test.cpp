@@ -18,14 +18,14 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/flooding.hpp"
+#include "baselines/broadcast_baselines.hpp"
 #include "graph/digraph.hpp"
 #include "sim/engine.hpp"
 
 namespace radnet::sim {
 namespace {
 
-using baselines::FloodingProtocol;
+using core::GeneralBroadcastProtocol;
 using graph::Digraph;
 using graph::Edge;
 using graph::NodeId;
@@ -129,7 +129,7 @@ TEST(AdversaryEngineTest, JammerStrandsExactPathSuffix) {
   ASSERT_LT(first_jammer, n - 1);  // holds for this seed
 
   const Digraph g = path_graph(n);
-  FloodingProtocol proto(0);
+  GeneralBroadcastProtocol proto(baselines::flooding_params());
   RunOptions options;
   options.max_rounds = 300;
   options.adversary = adv;
@@ -164,7 +164,7 @@ TEST(AdversaryEngineTest, ByzantineRelayCorruptsExactPathSuffix) {
   ASSERT_LT(first_byz, n - 1);  // holds for this seed
 
   const Digraph g = path_graph(n);
-  FloodingProtocol proto(0);
+  GeneralBroadcastProtocol proto(baselines::flooding_params());
   RunOptions options;
   options.max_rounds = 200;
   options.adversary = adv;
@@ -187,7 +187,7 @@ TEST(AdversaryEngineTest, BudgetListenOnlyStillCompletesWithinCap) {
   adv.budget_mean = 3.0;  // spread 0: every node gets exactly 3 transmissions
 
   const Digraph g = path_graph(n);
-  FloodingProtocol proto(0);
+  GeneralBroadcastProtocol proto(baselines::flooding_params());
   RunOptions options;
   options.max_rounds = 300;
   options.adversary = adv;
@@ -217,7 +217,7 @@ TEST(AdversaryEngineTest, SilentExhaustionSuppressesExactlyOneReception) {
     AdversarySpec adv;
     adv.budget_mean = 1.0;
     adv.exhaust_mode = mode;
-    FloodingProtocol proto(0);
+    GeneralBroadcastProtocol proto(baselines::flooding_params());
     RunOptions options;
     options.max_rounds = n + 5;
     options.run_to_quiescence = true;
@@ -244,7 +244,7 @@ TEST(AdversaryEngineTest, CrashFreezesAndRecoverResumesTheWavefront) {
                         {12, FaultEvent::Kind::kRecover, 1.0}};
 
   const Digraph g = path_graph(n);
-  FloodingProtocol proto(0);
+  GeneralBroadcastProtocol proto(baselines::flooding_params());
   RunOptions options;
   options.max_rounds = 200;
   options.adversary = adv;

@@ -115,7 +115,8 @@ TEST(EngineEquivalenceProtocols, GeneralBroadcastAgreesWithReferenceEngine) {
     const std::uint64_t n = g.num_nodes();
     const auto make = [&] {
       return core::GeneralBroadcastProtocol(core::GeneralBroadcastParams{
-          .distribution = core::SequenceDistribution::alpha(n, diameter),
+          .schedule = core::sequence_schedule(
+              core::SequenceDistribution::alpha(n, diameter)),
           .window = core::general_window(n, 4.0),
           .source = 0,
           .label = ""});

@@ -31,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/broadcast_baselines.hpp"
 #include "core/broadcast_random.hpp"
 #include "core/gossip_random.hpp"
 #include "graph/dynamics.hpp"
@@ -44,6 +45,7 @@ namespace {
 
 using core::BroadcastRandomParams;
 using core::BroadcastRandomProtocol;
+using core::GeneralBroadcastProtocol;
 using core::GossipRumorMarginalParams;
 using core::GossipRumorMarginalProtocol;
 using shard_test::expect_csr_shard_invariant;
@@ -322,6 +324,22 @@ TEST(ThreadInvariance, InBlockAlg2mIrgg) {
   expect_in_block_irgg<GossipRumorMarginalProtocol>(
       GossipRumorMarginalParams{.p = 3.14159 * radius * radius}, radius,
       "in-block alg2m irgg");
+}
+
+TEST(ThreadInvariance, InBlockDecayIgnp) {
+  const double p = 8.0 * std::log(kInBlockN) / kInBlockN;
+  expect_in_block_ignp<GeneralBroadcastProtocol>(
+      baselines::decay_params(kInBlockN), p, "in-block decay ignp");
+}
+
+TEST(ThreadInvariance, InBlockEg2005Idgnp) {
+  // eg2005 activates a receiver only through round T = 4 here; Phase 3 is
+  // cut to ceil(log2 n) = 18 rounds, so the horizon (round 23) also falls
+  // inside the run.
+  const double p = 16.0 / kInBlockN;
+  expect_in_block_idgnp<GeneralBroadcastProtocol>(
+      baselines::eg2005_params(kInBlockN, p, 0, 1.0), p,
+      "in-block eg2005 idgnp");
 }
 
 TEST(ThreadInvariance, InBlockAlg1Csr) {

@@ -304,6 +304,48 @@ TEST(RggScanTest, ModesMatchEachOtherAndBruteForce) {
   }
 }
 
+TEST(RggScanTest, EveryLaneOfAChunkDecidesAlone) {
+  // One cell holding `size` transmitters, all out of range but one (the
+  // `in`-th) or two (0 and `in`): the listener's outcome then hangs on that
+  // entry's lane of a 4-wide chunk alone, including lane 3 and the partial
+  // tail chunk.
+  const double radius = 0.05;
+  for (const std::uint32_t size : {4u, 5u, 7u, 8u}) {
+    for (std::uint32_t in = 0; in < size; ++in) {
+      for (const bool with_first : {false, true}) {
+        if (with_first && in == 0) continue;
+        std::vector<double> xs(size + simd::kRggPad, 1e30);
+        std::vector<double> ys(size + simd::kRggPad, 1e30);
+        std::vector<std::uint32_t> ids(size + simd::kRggPad, 0xffffffffu);
+        for (std::uint32_t i = 0; i < size; ++i) {
+          const bool hit = i == in || (with_first && i == 0);
+          xs[i] = hit ? 0.5 + 0.001 * i : 0.9;
+          ys[i] = hit ? 0.5 : 0.9;
+          ids[i] = 100 + i;
+        }
+        const std::uint32_t begin = 0;
+        const std::uint32_t end = size;
+        const simd::RggScanCtx ctx{xs.data(), ys.data(), ids.data(), &begin,
+                                   &end,      1,         radius * radius};
+        const std::uint32_t want_hits = with_first ? 2 : 1;
+        for (const bool avx2 : {false, true}) {
+          if (avx2 && !simd::cpu_has_avx2()) continue;
+          std::uint32_t sender = 0;
+          const std::uint32_t hits =
+              avx2 ? simd::rgg_scan_avx2(ctx, 0.5, 0.5, 0, 0, 0, &sender)
+                   : simd::rgg_scan_scalar(ctx, 0.5, 0.5, 0, 0, 0, &sender);
+          ASSERT_EQ(hits, want_hits)
+              << (avx2 ? "avx2" : "scalar") << " size " << size << " entry "
+              << in;
+          if (want_hits == 1) {
+            ASSERT_EQ(sender, 100 + in) << (avx2 ? "avx2" : "scalar");
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdModeTest, NamesAndOverrides) {
   EXPECT_STREQ(simd::mode_name(simd::Mode::kScalar), "scalar");
   EXPECT_STREQ(simd::mode_name(simd::Mode::kAvx2), "avx2");

@@ -161,8 +161,8 @@ int main(int argc, char** argv) {
       std::signal(SIGTERM, handle_signal);
     }
 
-    // Result lines stream as specs converge; line-buffered so a consumer
-    // sees whole JSON records. A resumed run re-emits the complete stream,
+    // Result lines stream as specs converge; run_batch flushes each one as
+    // it is written, so a consumer sees whole JSON records. A resumed run re-emits the complete stream,
     // so --out opens truncating — never appending to a torn partial file.
     const std::string out_path = args.get_string("out", "");
     std::ofstream out_file;
