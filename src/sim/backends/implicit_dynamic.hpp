@@ -50,6 +50,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -65,8 +66,10 @@ namespace radnet::sim {
 /// Parameters of the implicit *dynamic* G(n,p) family: per-round link churn
 /// with persistence, permanent node failures, and density schedules p(t).
 /// The graph is never materialised; at churn < 1 the pair sketch costs
-/// n · 8 B of per-sender heads (allocated on its first entry) plus
-/// sketch_capacity · 12 B at worst.
+/// n · 8 B of per-sender heads (allocated on its first entry) plus paged
+/// 12 B entries and at most 4 B of free-slot stack per allocated slot:
+/// n · 8 B + sketch_capacity · 16 B at worst (capacity rounded up to whole
+/// 4096-entry pages).
 /// See the file comment for which regimes are exact vs modelled.
 struct ImplicitDynamicGnp {
   NodeId n = 0;
@@ -90,7 +93,7 @@ struct ImplicitDynamicGnp {
   /// mobility as density change (devices drifting apart / together);
   /// exact at churn = 1, modelled otherwise.
   std::function<double(std::uint32_t)> p_of_round;
-  /// Bound on the pair-state sketch, in entries (~12 B each). When full,
+  /// Bound on the pair-state sketch, in entries (≤ 16 B each). When full,
   /// new positive resolutions are forgotten instead of tracked (modelled
   /// fallback); stale entries are recycled continuously.
   std::uint32_t sketch_capacity = 1u << 22;
@@ -113,20 +116,26 @@ namespace detail {
 
 /// Bounded store of individually resolved *present* ordered pairs, indexed
 /// by sender so a round touches exactly the entries whose sender transmits.
-/// Entries live in a pooled free-list (12 B each) behind dense per-sender
-/// chain heads and oldest-round bounds (8 B per sender, allocated on the
-/// first insert); when the pool is full, new resolutions are dropped (the
-/// modelled fallback) until stale entries are recycled.
+/// Entries (12 B each) live in fixed pages of kPageSize, allocated on demand
+/// and kept across reset(), behind dense per-sender chain heads and
+/// oldest-round bounds (8 B per sender, allocated on the first insert).
+/// Released slots go on a free-slot stack (at most 4 B per allocated slot)
+/// and are reused last-in first-out; when the pool is full, new resolutions
+/// are dropped (the modelled fallback) until stale entries are recycled.
 class PairSketch {
  public:
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  static constexpr unsigned kPageBits = 12;
+  /// Entries per pool page (48 KB). Growing by whole pages never copies an
+  /// entry and never holds an old and a new pool at once.
+  static constexpr std::uint32_t kPageSize = 1u << kPageBits;
 
   void reset(NodeId senders, std::size_t capacity) {
-    pool_.clear();
     heads_.clear();
     oldest_.clear();
+    free_.clear();
     senders_ = senders;
-    free_head_ = kNil;
+    used_ = 0;
     size_ = 0;
     capacity_ = capacity;
   }
@@ -140,14 +149,14 @@ class PairSketch {
       oldest_.resize(senders_);
     }
     std::uint32_t idx;
-    if (free_head_ != kNil) {
-      idx = free_head_;
-      free_head_ = pool_[idx].next;
+    if (!free_.empty()) {
+      idx = free_.back();
+      free_.pop_back();
     } else {
-      idx = static_cast<std::uint32_t>(pool_.size());
-      pool_.push_back({});
+      idx = used_++;
+      if ((idx >> kPageBits) == pages_.size()) add_page();
     }
-    Entry& e = pool_[idx];
+    Entry& e = entry(idx);
     e.listener = listener;
     e.round = round;
     e.next = heads_[sender];
@@ -161,9 +170,9 @@ class PairSketch {
   /// Walks sender's entries in insertion order (most recent first), calling
   /// f(listener, round&); f returns whether to keep the entry (it may
   /// update the round in place). Unlinked entry indices append to `freed`
-  /// instead of the free list, for commit_deferred(). Only sender's chain
-  /// and head / oldest-round slots are written, so concurrent calls for
-  /// distinct senders are race-free.
+  /// instead of the free-slot stack, for commit_deferred(). Only sender's
+  /// chain and head / oldest-round slots are written, so concurrent calls
+  /// for distinct senders are race-free.
   template <class F>
   void visit_deferred(NodeId sender, F&& f,
                       std::vector<std::uint32_t>& freed) {
@@ -173,11 +182,11 @@ class PairSketch {
         [&](std::uint32_t idx) { freed.push_back(idx); });
   }
 
-  /// Serial completion of a batch of visit_deferred() calls: returns the
-  /// unlinked entries to the free list in the order given. Calling per
-  /// chunk in ascending chunk order keeps the free-list (and therefore
-  /// future slot reuse) deterministic — free-list order is never observable
-  /// in output, but determinism keeps the pool layout reproducible for
+  /// Serial completion of a batch of visit_deferred() calls: pushes the
+  /// unlinked entries on the free-slot stack in the order given. Calling
+  /// per chunk in ascending chunk order keeps the stack (and therefore
+  /// future slot reuse) deterministic — slot order is never observable in
+  /// output, but determinism keeps the pool layout reproducible for
   /// debugging.
   void commit_deferred(std::span<const std::uint32_t> freed) {
     for (const std::uint32_t idx : freed) release(idx);
@@ -197,11 +206,26 @@ class PairSketch {
   }
 
  private:
+  /// No default member initialisers: a fresh page stays untouched until
+  /// insert() writes each of its entries.
   struct Entry {
-    NodeId listener = 0;
-    std::uint32_t round = 0;
-    std::uint32_t next = kNil;
+    NodeId listener;
+    std::uint32_t round;
+    std::uint32_t next;
   };
+
+  Entry& entry(std::uint32_t idx) {
+    return pages_[idx >> kPageBits][idx & (kPageSize - 1)];
+  }
+
+  /// Adds one page and sizes the free-slot stack to every allocated slot:
+  /// the stack can never hold more, so release() never reallocates and
+  /// only rounds that add a page allocate. The stack is empty here (slots
+  /// are handed out fresh only once it is), so the reserve copies nothing.
+  void add_page() {
+    pages_.push_back(std::make_unique_for_overwrite<Entry[]>(kPageSize));
+    free_.reserve(pages_.size() * kPageSize);
+  }
 
   /// Unlinks the entries of sender's chain that `keep` rejects, handing
   /// each unlinked index to `unlink`; returns the oldest round kept (kNil
@@ -210,7 +234,7 @@ class PairSketch {
   std::uint32_t filter_chain(NodeId sender, Keep&& keep, Unlink&& unlink) {
     std::uint32_t oldest = kNil;
     for (std::uint32_t* link = &heads_[sender]; *link != kNil;) {
-      Entry& e = pool_[*link];
+      Entry& e = entry(*link);
       if (keep(e)) {
         oldest = std::min(oldest, e.round);
         link = &e.next;
@@ -224,16 +248,16 @@ class PairSketch {
   }
 
   void release(std::uint32_t idx) {
-    pool_[idx].next = free_head_;
-    free_head_ = idx;
+    free_.push_back(idx);
     --size_;
   }
 
-  std::vector<Entry> pool_;
+  std::vector<std::unique_ptr<Entry[]>> pages_;  ///< kept across reset()
+  std::vector<std::uint32_t> free_;    ///< free-slot stack, top = back()
   std::vector<std::uint32_t> heads_;   ///< per-sender chain head, kNil = empty
   std::vector<std::uint32_t> oldest_;  ///< per-sender min round in the chain
   NodeId senders_ = 0;
-  std::uint32_t free_head_ = kNil;
+  std::uint32_t used_ = 0;  ///< slots handed out fresh since reset()
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;
 };
@@ -421,7 +445,7 @@ class ImplicitDynamicGnpTopology {
   /// nothing — pinned by tests/sim/shard_scratch_test.cpp.
   struct SketchShard {
     std::vector<PinnedTouch> pinned;   ///< gather: touches in walk order
-    std::vector<std::uint32_t> freed;  ///< gather: deferred free-list pushes
+    std::vector<std::uint32_t> freed;  ///< gather: deferred free-slot pushes
     std::vector<PinnedEvent> events;   ///< classify: events in group order
     std::vector<std::pair<NodeId, NodeId>> records;  ///< classify: (sender, listener)
     std::uint64_t nontx = 0;  ///< classify: non-transmitting pinned groups

@@ -213,6 +213,59 @@ TEST(ShardScratch, DynamicStaleSweepRoundsAllocFree) {
   EXPECT_EQ(topo.sketch_size(), 0u) << "the stale sweep did not run";
 }
 
+TEST(ShardScratch, DynamicFullSketchSamplingRoundsAllocFree) {
+  // Sampling rounds at churn 0.5 with the sketch at capacity, as in a long
+  // gossip run: every round the gather drops about half of the entries
+  // (their pairs re-sample absent), and the sweep's records, replayed
+  // through the pooled block merge (two listener blocks), refill the freed
+  // slots and overflow the rest. The pool spans 17 pages and ends off a
+  // page boundary; once it is full no round adds a page, so the free-slot
+  // stack never grows either.
+  const graph::NodeId n = 2u << 16;
+  const graph::NodeId k = 2048;  // 2 gather chunks at kSketchChunkSize=1024
+  constexpr std::uint32_t kCapacity = 16 * 4096 + 1000;
+
+  ImplicitDynamicGnp spec;
+  spec.n = n;
+  spec.p = 1.0 / k;  // ~n/e clean deliveries, so ~48K records a round
+  spec.churn = 0.5;
+  spec.sketch_capacity = kCapacity;
+  spec.rng = Rng(0xF011);
+  ImplicitDynamicGnpTopology topo(spec);
+  topo.set_parallelism(resolve_pool(0));
+
+  std::vector<graph::NodeId> tx(k);
+  for (graph::NodeId v = 0; v < k; ++v) tx[v] = v * (n / k);
+  std::vector<char> is_tx(n, 0);
+  for (const graph::NodeId t : tx) is_tx[t] = 1;
+
+  CountSink sink;
+  const auto run_round = [&](std::uint32_t round) {
+    topo.begin_round(round);
+    topo.deliver({tx.data(), tx.size()}, is_tx, /*half_duplex=*/false,
+                 DeliveryPath::kAuto, std::nullopt,
+                 /*collisions_inert=*/false, sink);
+  };
+
+  // Warm up: fill the sketch, then high-water every per-block and
+  // per-chunk buffer under the full-sketch workload.
+  for (std::uint32_t round = 0; round < 12; ++round) run_round(round);
+  ASSERT_EQ(topo.sketch_size(), kCapacity) << "warm-up did not fill the sketch";
+
+  const std::uint64_t deliveries_before = sink.deliveries;
+  const std::uint64_t before = g_allocations.load();
+  for (std::uint32_t round = 12; round < 20; ++round) {
+    run_round(round);
+    ASSERT_EQ(topo.sketch_size(), kCapacity) << "round " << round;
+  }
+  const std::uint64_t during = g_allocations.load() - before;
+
+  EXPECT_EQ(during, 0u)
+      << "full-sketch sampling rounds allocated " << during
+      << " times; slot reuse or the record merge is allocating";
+  EXPECT_GT(sink.deliveries - deliveries_before, 8u * n / 4);
+}
+
 TEST(ShardScratch, RggBucketingSteadyStateAllocFree) {
   const graph::NodeId n = 8192;
   const double radius = graph::rgg_threshold_radius(n, 4.0);
