@@ -6,7 +6,8 @@
 //   * force-full: every spec runs its full trial budget (the baseline a
 //     one-at-a-time radnet_cli loop would pay);
 //   * warm-cache: the identical query set replayed against the cache the
-//     early-stop run populated — every answer is an O(1) lookup.
+//     early-stop run populated — every answer re-renders from stored
+//     outcomes, running no trial.
 //
 // The headline numbers are the trial savings from early stopping (the
 // Wilson rate interval plus the order-statistic rounds-median interval,

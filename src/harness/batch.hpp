@@ -24,21 +24,22 @@
 //     (family-major, then input order: a spec's line prints as soon as it
 //     and every spec before it in that order have converged), so the byte
 //     stream is identical at any thread count and cold vs warm cache;
-//   * results are cached on disk keyed by (spec hash, seed) with the
-//     granted trial count recorded inside the entry, so a repeated query
-//     is an O(1) lookup that replays the stored line verbatim. An
-//     in-memory memo gives the same O(1) answer to duplicates within one
-//     invocation even with the disk cache disabled.
+//   * a finished spec's trial outcomes are cached on disk keyed by
+//     (spec hash, seed): a repeated query runs no trial, and its line is
+//     re-rendered by the batch_result_json a cold run uses. An in-memory
+//     memo answers duplicates the same way even with the cache disabled.
 //
 // The execution layer is crash-safe:
 //
-//   * cache entries are checksummed and committed by write-to-temp +
-//     rename() (support/io.hpp); a corrupt, truncated or foreign file is
-//     quarantined to `*.quarantine` and treated as a miss — corruption can
-//     cost a recompute, never a wrong answer;
-//   * with BatchOptions::journal_path set, every grant's trial outcomes
-//     and every committed result line are append-logged with per-record
-//     checksums (support/journal.hpp); a run killed at any instant resumes
+//   * cache entries, the run journal and the isolate pipe share one
+//     checksummed record format (harness/batch_record.hpp); a cache entry
+//     is committed by write-to-temp + rename() (support/io.hpp), and a
+//     corrupt, truncated, stale or foreign one is quarantined to
+//     `*.quarantine` and treated as a miss — corruption can cost a
+//     recompute, never a wrong answer;
+//   * with BatchOptions::journal_path set, every grant's (or cache hit's)
+//     outcomes and every error line are append-logged; a run killed at any
+//     instant resumes
 //     (options.resume) by replaying the committed prefix and continuing
 //     the doubling schedule mid-spec, and the resumed output stream is
 //     byte-identical to an uninterrupted run (trial t is keyed on
@@ -53,7 +54,8 @@
 //     byte-identical results. In-process, a grant that throws
 //     std::bad_alloc degrades the same way (cause "error", one attempt).
 //
-// tools/radnet_batch.cpp is the thin CLI over this layer;
+// batch_spec.cpp holds BatchSpec, batch.cpp the scheduler;
+// tools/radnet_batch.cpp is the thin CLI over this layer.
 // tests/harness/batch_test.cpp pins the determinism, prefix and cache
 // contracts; tests/harness/faultinject_test.cpp pins the crash-safety
 // invariant resume(interrupt(run)) == run.
@@ -172,9 +174,10 @@ struct BatchSpec {
 
 struct BatchOptions {
   /// Result cache directory (created on demand); empty disables the disk
-  /// cache. Entries are invalidated by construction: the filename carries
-  /// (spec hash, seed) and the header records the format version and
-  /// granted trials, so any mismatch is a miss, never a wrong answer.
+  /// cache. An entry holds a finished spec's trial outcomes, bound by its
+  /// header to the record version and (spec hash, seed); one that fails
+  /// any check, or whose outcomes fail the stop rule, is a quarantined
+  /// miss, never a wrong answer.
   std::string cache_dir;
   /// Grant every spec its full trial count regardless of tolerances (the
   /// forced full run the prefix tests compare early stops against).
@@ -191,13 +194,13 @@ struct BatchOptions {
   /// force_full and min_grant, so resuming against a different sweep or
   /// grant schedule fails loudly instead of splicing streams.
   std::string journal_path;
-  /// Replay the journal's committed prefix, re-emit its result lines
-  /// verbatim, and continue the doubling schedule mid-spec. The output
-  /// stream of a resumed run is the COMPLETE stream — byte-identical to an
-  /// uninterrupted run — so callers write it to a fresh (truncated) file
-  /// rather than appending to the interrupted run's partial output (whose
-  /// tail may be torn). Requires journal_path; a missing or fully torn
-  /// journal resumes from nothing, i.e. runs fresh.
+  /// Replay the journal's committed prefix, re-render the lines it
+  /// finishes from their outcomes, and continue the doubling schedule
+  /// mid-spec. The output stream of a resumed run is the COMPLETE stream —
+  /// byte-identical to an uninterrupted run — so callers write it to a
+  /// fresh (truncated) file rather than appending to the interrupted run's
+  /// partial output (whose tail may be torn). Requires journal_path; a
+  /// missing or fully torn journal resumes from nothing, i.e. runs fresh.
   bool resume = false;
   /// Polled at grant boundaries (signal handlers set it): when true the
   /// run stops cleanly after the in-flight grant, with everything done so
@@ -228,7 +231,7 @@ struct BatchOutcome {
   std::uint64_t hash = 0;
   std::uint32_t trials_granted = 0;
   bool converged = false;    ///< CIs under tolerance (vs trials exhausted)
-  bool from_cache = false;   ///< answered by disk cache, memo or journal
+  bool from_cache = false;   ///< no trial ran: disk cache, memo or journal
   bool error = false;        ///< isolate mode exhausted its attempts;
                              ///< `json` is the structured error line
   std::string json;
@@ -243,9 +246,8 @@ struct BatchStats {
   std::uint64_t stale_reaped = 0;  ///< old .tmp/.quarantine files removed
   std::uint64_t trials_run = 0;
   std::uint64_t trials_saved = 0;  ///< sum over specs of (trials - granted)
-  std::uint64_t journal_trials = 0;   ///< trials restored by replay, not run
-  std::uint64_t journal_results = 0;  ///< result lines re-emitted verbatim
-  std::uint64_t spec_errors = 0;   ///< error lines emitted
+  std::uint64_t journal_trials = 0;  ///< trials restored by replay, not run
+  std::uint64_t spec_errors = 0;   ///< error lines, replayed ones too
   bool interrupted = false;        ///< options.cancel stopped the run early
 };
 

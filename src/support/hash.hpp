@@ -19,6 +19,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <string_view>
 
 #include "support/require.hpp"
@@ -27,8 +29,8 @@
 namespace radnet {
 
 /// One-shot FNV-1a over raw bytes with the same avalanche finish
-/// HashStream uses — the payload checksum of the cache entries and journal
-/// records (support/io.hpp, support/journal.hpp). Not a MAC: it detects
+/// HashStream uses — the per-record checksum of journal records and cache
+/// entries (support/journal.hpp). Not a MAC: it detects
 /// torn writes and bit rot, not adversarial tampering.
 [[nodiscard]] inline std::uint64_t fnv1a64(std::string_view bytes) {
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -37,6 +39,14 @@ namespace radnet {
     h *= 0x100000001b3ull;
   }
   return mix64(h);
+}
+
+/// 16 lower-case hex digits: hashes and checksums in lines and file names.
+[[nodiscard]] inline std::string hex16(std::uint64_t v) {
+  char buf[20];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
 }
 
 class HashStream {

@@ -1,15 +1,16 @@
 // Crash-safe file I/O primitives for the harness's persistent state.
 //
 // The batch sweep service keeps two kinds of on-disk state — the result
-// cache and the run journal — and both must satisfy one invariant: a
-// process death at ANY instant (SIGKILL, ENOSPC, power loss mid-write)
-// leaves files that are either complete or detectably incomplete, never
-// silently wrong. This header supplies the building blocks:
+// cache and the run journal, both in harness/batch_record.hpp's records —
+// and both must satisfy one invariant: a process death at ANY instant
+// (SIGKILL, ENOSPC, power loss mid-write) leaves files that are either
+// complete or detectably incomplete, never silently wrong. This header
+// supplies the building blocks:
 //
 //   * atomic_write_file — write-to-temp + rename() commit, so a reader
 //     never observes a half-written file under the final name; the stream
 //     state is checked after writing and the temp is unlinked on any
-//     failure (the torn-write window the v1 cache had);
+//     failure;
 //   * quarantine_file — corrupt or foreign files are renamed aside to
 //     `<name>.quarantine` instead of deleted, preserving the evidence
 //     while guaranteeing they can never be replayed as an answer;

@@ -1,8 +1,6 @@
 #include "support/journal.hpp"
 
-#include <cstdio>
 #include <filesystem>
-#include <sstream>
 
 #include "support/hash.hpp"
 #include "support/io.hpp"
@@ -10,29 +8,16 @@
 
 namespace radnet {
 
-namespace {
-
-std::string hex16(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-}  // namespace
-
-JournalReplay read_journal(const std::string& path) {
+JournalReplay parse_journal(std::string_view content) {
   JournalReplay replay;
-  const auto content = io::read_file(path);
-  if (!content.has_value()) return replay;
   std::uint64_t offset = 0;
-  while (offset < content->size()) {
-    const std::size_t eol = content->find('\n', offset);
-    if (eol == std::string::npos) {
+  while (offset < content.size()) {
+    const std::size_t eol = content.find('\n', offset);
+    if (eol == std::string_view::npos) {
       replay.torn_tail = true;  // the write a crash interrupted
       break;
     }
-    const std::string_view line(content->data() + offset, eol - offset);
+    const std::string_view line = content.substr(offset, eol - offset);
     // "<hex16> <payload>": a line too short for the checksum field, a
     // non-hex checksum or a mismatch all end the committed prefix here.
     if (line.size() < 17 || line[16] != ' ') {
@@ -48,8 +33,19 @@ JournalReplay read_journal(const std::string& path) {
     replay.records.push_back(JournalRecord{std::string(payload), offset});
     replay.committed_bytes = offset;
   }
-  if (offset < content->size()) replay.torn_tail = true;
+  if (offset < content.size()) replay.torn_tail = true;
   return replay;
+}
+
+JournalReplay read_journal(const std::string& path) {
+  const auto content = io::read_file(path);
+  return content.has_value() ? parse_journal(*content) : JournalReplay{};
+}
+
+std::string journal_line(std::string_view payload) {
+  RADNET_REQUIRE(payload.find('\n') == std::string_view::npos,
+                 "journal payloads are single lines");
+  return hex16(fnv1a64(payload)) + ' ' + std::string(payload) + '\n';
 }
 
 void JournalWriter::open(const std::string& path, std::uint64_t keep_bytes) {
@@ -70,10 +66,8 @@ void JournalWriter::open(const std::string& path, std::uint64_t keep_bytes) {
 }
 
 void JournalWriter::append(std::string_view payload) {
-  RADNET_REQUIRE(payload.find('\n') == std::string_view::npos,
-                 "journal payloads are single lines");
   RADNET_CHECK(out_.is_open(), "journal append before open");
-  out_ << hex16(fnv1a64(payload)) << ' ' << payload << '\n';
+  out_ << journal_line(payload);
   if (io::check_fault("journal-append") == io::FaultAction::kEnospc)
     out_.setstate(std::ios::badbit);
   out_.flush();

@@ -1,10 +1,10 @@
 // Append-only, per-record-checksummed run journal.
 //
 // The batch sweep service logs every grant's trial outcomes and every
-// committed result line here, so a run killed at any instant can resume
-// from its committed prefix and still produce a byte-identical output
-// stream (harness/batch.hpp `--resume`). The format is deliberately dumb —
-// text lines, one record each:
+// error line here, so a run killed at any instant can resume from its
+// committed prefix and still produce a byte-identical output stream
+// (harness/batch.hpp `--resume`). The format is deliberately dumb — text
+// lines, one record each:
 //
 //   <fnv1a-16-hex of payload> <payload>\n
 //
@@ -14,6 +14,7 @@
 // half-applied. Each record carries its end byte offset so a resuming
 // writer can truncate the file back to the committed prefix before
 // appending — the torn bytes must not survive in front of new records.
+// Cache entries and the isolate pipe carry the same lines.
 //
 // Appends flush to the OS per record and throw io::IoError on any stream
 // failure (including injected ENOSPC): a crash-safe layer must stop rather
@@ -44,9 +45,15 @@ struct JournalReplay {
   std::uint64_t committed_bytes = 0;  ///< prefix length holding `records`
 };
 
+/// The committed prefix of journal-formatted bytes.
+[[nodiscard]] JournalReplay parse_journal(std::string_view content);
+
 /// Reads the committed prefix of a journal file. A missing file is an
 /// empty replay, not an error — resume from nothing is a fresh run.
 [[nodiscard]] JournalReplay read_journal(const std::string& path);
+
+/// "<checksum16> <payload>\n"; `payload` must not contain '\n'.
+[[nodiscard]] std::string journal_line(std::string_view payload);
 
 class JournalWriter {
  public:

@@ -325,7 +325,7 @@ TEST(BatchRunTest, ColdAndWarmCacheStreamsAreByteIdentical) {
   // Turning the cache on changes no byte of the cold stream either.
   EXPECT_EQ(cold, run_to_string(specs, BatchOptions{}));
   EXPECT_EQ(warm_stats.cache_hits, specs.size());
-  EXPECT_EQ(warm_stats.trials_run, 0u);  // the O(1) repeated-query path
+  EXPECT_EQ(warm_stats.trials_run, 0u);  // re-rendered, no trial runs
   for (const auto& o : warm_outcomes) EXPECT_TRUE(o.from_cache);
 }
 

@@ -34,13 +34,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string hex16(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 /// Two-family sweep, small enough to rerun dozens of times per test.
 std::vector<BatchSpec> sweep_specs() {
   std::istringstream in(
@@ -136,7 +129,7 @@ TEST_F(FaultInjectTest, JournalingItselfDoesNotChangeTheStream) {
   options.journal_path = temp("fi_plain.journal");
   BatchStats stats;
   EXPECT_EQ(run_to_string(specs, options, &stats), plain);
-  // The journal holds the header plus one record per grant and result.
+  // The journal holds the header plus one record per grant.
   const JournalReplay replay = read_journal(options.journal_path);
   EXPECT_FALSE(replay.torn_tail);
   ASSERT_GT(replay.records.size(), 1u);
@@ -230,6 +223,38 @@ TEST_F(FaultInjectTest, JournalGarbledAtEveryOffsetResumesByteIdentical) {
         << garbled;
     EXPECT_EQ(run_to_string(specs, options), expect) << "at " << at;
   }
+}
+
+TEST_F(FaultInjectTest, TrialsRecordWhoseCountWrapsEndsTheCommittedPrefix) {
+  // A checksum-valid record continuing at `granted` with a count of
+  // 2^32 - granted: `first + count` wraps to 0 in 32 bits, so a bound
+  // written as a sum lets it through to size ~4e9 outcome slots. Resume
+  // must instead end the committed prefix there and recompute. The resume
+  // runs in a child under an address-space cap, so a regression fails
+  // the test (bad_alloc) instead of exhausting the host.
+  const auto specs = tiny_specs();
+  BatchOptions options = serial_options();
+  options.min_grant = 4;
+  options.journal_path = temp("fi_wrap.journal");
+  const std::string expect = run_to_string(specs, options);
+  const JournalReplay replay = read_journal(options.journal_path);
+  ASSERT_GE(replay.records.size(), 2u);
+  ASSERT_EQ(replay.records[1].payload.rfind("trials 0 0 4 ", 0), 0u);
+  JournalWriter writer;
+  writer.open(options.journal_path, replay.records[1].end_offset);
+  writer.append("trials 0 4 4294967292 1:4:12:3:0x1.8p+1:9:2:64:-1");
+  writer.close();
+
+  options.resume = true;
+  const std::string out_path = temp("fi_wrap.out");
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  const std::uint64_t mem_cap = 0;  // sanitizer shadow maps need no cap
+#else
+  const std::uint64_t mem_cap = mapped_bytes() + (256ull << 20);
+#endif
+  const int status = run_in_child(specs, options, "", out_path, mem_cap);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  EXPECT_EQ(io::read_file(out_path).value_or(""), expect);
 }
 
 TEST_F(FaultInjectTest, CacheCorruptedAtEveryOffsetIsNeverAWrongAnswer) {

@@ -25,12 +25,12 @@
 // counters go to stderr. The output bytes are identical at any --threads
 // value and cold vs warm cache (see README "Batched sweeps").
 //
-// Crash safety: with --journal, every grant and result is append-logged
-// with per-record checksums; SIGINT/SIGTERM stop the run cleanly at the
-// next grant boundary (exit 75, journal committed), and --resume replays
-// the committed prefix and continues, re-emitting the COMPLETE stream —
-// byte-identical to an uninterrupted run — which is why a resumed run
-// truncates --out rather than appending to a possibly-torn partial file.
+// Crash safety: with --journal, every grant, cache hit and error line is
+// append-logged with per-record checksums; SIGINT/SIGTERM stop the run
+// cleanly at the next grant boundary (exit 75, journal committed), and
+// --resume replays the committed prefix and continues, re-emitting the
+// COMPLETE stream — byte-identical to an uninterrupted run — which is why
+// a resumed run truncates --out rather than appending to a torn file.
 // --isolate forks each spec into a watchdogged child (crashing or wedged
 // specs degrade into structured "error" JSON lines; see README "Fault
 // tolerance & resume"). In-process, a spec whose grant throws
@@ -183,12 +183,12 @@ int main(int argc, char** argv) {
               << " converged, " << stats.cache_hits << " cache hits, "
               << stats.trials_run << " trials run, " << stats.trials_saved
               << " trials saved by early stopping/cache";
-    if (stats.journal_trials > 0 || stats.journal_results > 0)
-      std::cerr << ", " << stats.journal_trials << " trials + "
-                << stats.journal_results << " results replayed from journal";
+    if (stats.journal_trials > 0)
+      std::cerr << ", " << stats.journal_trials
+                << " trials replayed from journal";
     if (stats.cache_quarantined > 0)
       std::cerr << ", " << stats.cache_quarantined
-                << " corrupt cache entries quarantined";
+                << " corrupt or stale cache entries quarantined";
     if (stats.spec_errors > 0)
       std::cerr << ", " << stats.spec_errors << " spec errors";
     std::cerr << "\n";
