@@ -111,6 +111,10 @@ void BatchSpec::validate(std::string_view field) const {
     const double r = rgg_radius();
     RADNET_REQUIRE(r > 0.0 && r <= 1.5,
                    named("radius-mult") + " yields a radius outside (0, 1.5]");
+    // resolved_diameter() is ceil(1.4143 / r) hops; keep it a 32-bit count.
+    RADNET_REQUIRE(1.4143 / r <= 4294967295.0,
+                   named("radius-mult") +
+                       " yields a radius too small for a 32-bit hop diameter");
     RADNET_REQUIRE(step >= 0.0 && step <= 1.0,
                    named("step") + " must be in [0, 1]");
   } else {

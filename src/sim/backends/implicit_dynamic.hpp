@@ -35,11 +35,13 @@
 // counter-keyed listener blocks of the shared sampler, and the sketch
 // phases shard too, under the per-chunk merge contract of sim/sharding.hpp:
 // gather decomposes per fixed-width *sender* chunk (distinct senders own
-// disjoint sketch chains and head slots, so chunk walks are race-free; frees
-// are deferred to a serial commit in chunk order), classify per
+// disjoint sketch runs and per-sender slots, so chunk walks are race-free;
+// each chunk's drop count is summed serially), classify per
 // pinned-listener-*group* chunk (groups are independent given the gathered
-// pinned set; sketch insertions and pinned events are buffered per chunk
-// and replayed serially in ascending chunk = listener order). Every draw
+// pinned set; resolved pairs and pinned events are buffered per chunk and
+// replayed serially in ascending chunk = listener order). The round's
+// resolved pairs join the sketch in one serial batch at the end of the
+// round, in the order the serial schedule resolves them. Every draw
 // comes from a (round, chunk)-keyed stream — gather chunk c from
 // churn_key.fork(round).fork(c), classify chunk c from the reserved
 // kClassifyLane below it — so results are bit-identical at any thread
@@ -49,6 +51,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -66,10 +69,11 @@ namespace radnet::sim {
 /// Parameters of the implicit *dynamic* G(n,p) family: per-round link churn
 /// with persistence, permanent node failures, and density schedules p(t).
 /// The graph is never materialised; at churn < 1 the pair sketch costs
-/// n · 8 B of per-sender heads (allocated on its first entry) plus paged
-/// 12 B entries and at most 4 B of free-slot stack per allocated slot:
-/// n · 8 B + sketch_capacity · 16 B at worst (capacity rounded up to whole
-/// 4096-entry pages).
+/// n · 16 B of per-sender state (allocated on its first entry) plus one
+/// arena of 8 B entries: with B = min(sketch_capacity, n · (n − 1)) and
+/// H = min(n, B), compaction keeps the touched arena near
+/// (1.25 · B + H) · 8 B, within 2 · (B + H) · 8 B of address space
+/// (detail::PairSketch).
 /// See the file comment for which regimes are exact vs modelled.
 struct ImplicitDynamicGnp {
   NodeId n = 0;
@@ -93,8 +97,9 @@ struct ImplicitDynamicGnp {
   /// mobility as density change (devices drifting apart / together);
   /// exact at churn = 1, modelled otherwise.
   std::function<double(std::uint32_t)> p_of_round;
-  /// Bound on the pair-state sketch, in entries (≤ 16 B each). When full,
-  /// new positive resolutions are forgotten instead of tracked (modelled
+  /// Bound on the pair-state sketch, in entries (8 B each, plus arena
+  /// headers and slack, see above; must stay below 2^30). When full, new
+  /// positive resolutions are forgotten instead of tracked (modelled
   /// fallback); stale entries are recycled continuously.
   std::uint32_t sketch_capacity = 1u << 22;
   /// Root of the backend's private randomness, split into the sub-streams
@@ -114,152 +119,219 @@ struct ImplicitDynamicGnp {
 
 namespace detail {
 
+/// One pair a round resolved present: (sender, listener).
+using PairRecord = std::pair<NodeId, NodeId>;
+
 /// Bounded store of individually resolved *present* ordered pairs, indexed
 /// by sender so a round touches exactly the entries whose sender transmits.
-/// Entries (12 B each) live in fixed pages of kPageSize, allocated on demand
-/// and kept across reset(), behind dense per-sender chain heads and
-/// oldest-round bounds (8 B per sender, allocated on the first insert).
-/// Released slots go on a free-slot stack (at most 4 B per allocated slot)
-/// and are reused last-in first-out; when the pool is full, new resolutions
-/// are dropped (the modelled fallback) until stale entries are recycled.
+/// A sender's entries are one contiguous run of 8 B {listener, round}
+/// entries, oldest to newest, in one arena; per sender it keeps the run's
+/// end and length, an oldest-round bound and a count append_round() uses
+/// (16 B per sender, allocated on the first insert). Every arena block
+/// starts with a header entry {sender, allocated}, so compaction finds the
+/// live runs in arena order and slides them down in place, with no second
+/// buffer. A round's inserts arrive as one batch (append_round), which
+/// moves each touched sender's run to the arena tail with its new entries
+/// appended. When the sketch is full, new resolutions are dropped (the
+/// modelled fallback) until stale entries are recycled.
+///
+/// Memory: a sketch never holds two entries for one ordered pair, so it
+/// sizes its arena by B = min(capacity, n · (n − 1)) entries plus one
+/// header per sender that can hold one, H = min(n, B). The arena reserves
+/// 2 · (B + H) entries, the most a round's moves can need right after a
+/// compaction. A compaction is due once the tail would pass twice the live
+/// footprint of the last one, or B + H + B / 4, so only the pages below
+/// that mark are touched unless one round's moves outgrow it: about
+/// n · 16 B + (1.25 · B + H) · 8 B.
 class PairSketch {
  public:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-  static constexpr unsigned kPageBits = 12;
-  /// Entries per pool page (48 KB). Growing by whole pages never copies an
-  /// entry and never holds an old and a new pool at once.
-  static constexpr std::uint32_t kPageSize = 1u << kPageBits;
-
   void reset(NodeId senders, std::size_t capacity) {
-    heads_.clear();
+    runs_.clear();
     oldest_.clear();
-    free_.clear();
+    pending_.clear();
     senders_ = senders;
-    used_ = 0;
     size_ = 0;
     capacity_ = capacity;
+    tail_ = 0;
+    const std::uint64_t pairs =
+        std::uint64_t{senders} * (senders > 0 ? senders - 1 : 0);
+    const std::uint64_t bound = std::min<std::uint64_t>(capacity, pairs);
+    const std::uint64_t headers = std::min<std::uint64_t>(senders, bound);
+    RADNET_REQUIRE(2 * (bound + headers) <= kMaxArena,
+                   "pair sketch arena exceeds 2^32 entries (keep the "
+                   "sketch capacity below 2^30)");
+    arena_need_ = 2 * (bound + headers);
+    soft_limit_ = bound + headers + bound / 4;
+    compact_at_ = std::min(soft_limit_, kMinSpan);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-  void insert(NodeId sender, NodeId listener, std::uint32_t round) {
-    if (size_ >= capacity_) return;  // full: forget (modelled fallback)
-    if (heads_.empty()) {
-      heads_.assign(senders_, kNil);
-      oldest_.resize(senders_);
-    }
-    std::uint32_t idx;
-    if (!free_.empty()) {
-      idx = free_.back();
-      free_.pop_back();
-    } else {
-      idx = used_++;
-      if ((idx >> kPageBits) == pages_.size()) add_page();
-    }
-    Entry& e = entry(idx);
-    e.listener = listener;
-    e.round = round;
-    e.next = heads_[sender];
-    // Inserts carry the current round, so a chain's first entry bounds
-    // every later one from below.
-    if (e.next == kNil) oldest_[sender] = round;
-    heads_[sender] = idx;
-    ++size_;
+  /// Inserts the next round may still make before the sketch is full.
+  [[nodiscard]] std::size_t room() const noexcept {
+    return capacity_ - size_;
   }
 
-  /// Walks sender's entries in insertion order (most recent first), calling
-  /// f(listener, round&); f returns whether to keep the entry (it may
-  /// update the round in place). Unlinked entry indices append to `freed`
-  /// instead of the free-slot stack, for commit_deferred(). Only sender's
-  /// chain and head / oldest-round slots are written, so concurrent calls
-  /// for distinct senders are race-free.
+  /// Compactions since construction (for tests / diagnostics).
+  [[nodiscard]] std::uint64_t compactions() const noexcept {
+    return compactions_;
+  }
+
+  /// Walks sender's entries newest first, calling f(listener, round&); f
+  /// returns whether to keep the entry (it may update the round in place).
+  /// Kept entries stay in order, packed toward the run's end. Returns how
+  /// many entries were dropped, which size() does not reflect until the
+  /// caller passes it to release(): only sender's run and per-sender slots
+  /// are written, so concurrent calls for distinct senders are race-free.
   template <class F>
-  void visit_deferred(NodeId sender, F&& f,
-                      std::vector<std::uint32_t>& freed) {
-    if (heads_.empty() || heads_[sender] == kNil) return;
-    oldest_[sender] = filter_chain(
-        sender, [&](Entry& e) { return f(e.listener, e.round); },
-        [&](std::uint32_t idx) { freed.push_back(idx); });
-  }
-
-  /// Serial completion of a batch of visit_deferred() calls: pushes the
-  /// unlinked entries on the free-slot stack in the order given. Calling
-  /// per chunk in ascending chunk order keeps the stack (and therefore
-  /// future slot reuse) deterministic — slot order is never observable in
-  /// output, but determinism keeps the pool layout reproducible for
-  /// debugging.
-  void commit_deferred(std::span<const std::uint32_t> freed) {
-    for (const std::uint32_t idx : freed) release(idx);
-  }
-
-  /// Drops every entry older than `horizon` rounds — reclaims the slots of
-  /// senders that stopped transmitting. A linear scan of the oldest-round
-  /// bounds finds the chains holding a stale entry; only those are walked.
-  void drop_stale(std::uint32_t round, std::uint64_t horizon) {
-    for (std::size_t s = 0; s < heads_.size(); ++s) {
-      if (heads_[s] == kNil || round - oldest_[s] <= horizon) continue;
-      oldest_[s] = filter_chain(
-          static_cast<NodeId>(s),
-          [&](const Entry& e) { return round - e.round <= horizon; },
-          [&](std::uint32_t idx) { release(idx); });
+  std::size_t visit(NodeId sender, F&& f) {
+    if (runs_.empty() || runs_[sender].len == 0) return 0;
+    Run& run = runs_[sender];
+    Entry* const arena = arena_.get();
+    std::uint32_t kept = run.end;  // kept entries fill [kept, end)
+    std::uint32_t oldest = kNoRound;
+    for (std::uint32_t i = run.end; i-- > run.end - run.len;) {
+      Entry e = arena[i];
+      if (f(e.node, e.aux)) {
+        oldest = std::min(oldest, e.aux);
+        arena[--kept] = e;
+      }
     }
+    const std::size_t dropped = run.len - (run.end - kept);
+    run.len = run.end - kept;
+    oldest_[sender] = oldest;
+    return dropped;
+  }
+
+  /// Accounts for the entries a batch of visit() calls dropped.
+  void release(std::size_t dropped) noexcept { size_ -= dropped; }
+
+  /// Drops every entry older than `horizon` rounds — reclaims the entries
+  /// of senders that stopped transmitting. A linear scan of the
+  /// oldest-round bounds finds the runs holding a stale entry; only those
+  /// are walked.
+  void drop_stale(std::uint32_t round, std::uint64_t horizon) {
+    for (std::size_t s = 0; s < runs_.size(); ++s) {
+      if (runs_[s].len == 0 || round - oldest_[s] <= horizon) continue;
+      release(visit(static_cast<NodeId>(s),
+                    [&](NodeId, const std::uint32_t& entry_round) {
+                      return round - entry_round <= horizon;
+                    }));
+    }
+  }
+
+  /// Inserts one round's resolved pairs, given in the order the round
+  /// resolved them. Only the first room() of them land: inserting them one
+  /// by one drops the same ones, since nothing frees an entry in between.
+  /// Each touched sender's run moves to the arena tail with room for its
+  /// new entries, which follow in round order, newest last.
+  void append_round(std::span<const PairRecord> records, std::uint32_t round) {
+    records = records.first(std::min(records.size(), room()));
+    if (records.empty()) return;
+    if (runs_.empty()) allocate();
+    for (const PairRecord& r : records)
+      if (pending_[r.first]++ == 0) touched_.push_back(r.first);
+    std::uint64_t need = 0;  // one header and the grown run per sender
+    for (const NodeId s : touched_) need += 1 + runs_[s].len + pending_[s];
+    if (tail_ + need > compact_at_) compact();
+    RADNET_CHECK(tail_ + need <= arena_size_, "pair sketch arena overflow");
+    // pending_ turns into each run's write cursor, then back to 0.
+    for (const NodeId s : touched_)
+      pending_[s] = move_to_tail(s, pending_[s], round);
+    Entry* const arena = arena_.get();
+    for (const PairRecord& r : records)
+      arena[pending_[r.first]++] = {r.second, round};
+    for (const NodeId s : touched_) pending_[s] = 0;
+    touched_.clear();
+    size_ += records.size();
   }
 
  private:
-  /// No default member initialisers: a fresh page stays untouched until
-  /// insert() writes each of its entries.
+  /// A run entry is {listener, round}; a block header is {sender, number
+  /// of entries allocated behind it}. No default member initialisers: the
+  /// arena's pages stay untouched until a block is written there.
   struct Entry {
-    NodeId listener;
-    std::uint32_t round;
-    std::uint32_t next;
+    NodeId node;
+    std::uint32_t aux;
   };
+  /// A sender's live entries: [end - len, end), at the end of its block.
+  struct Run {
+    std::uint32_t end = 0;
+    std::uint32_t len = 0;
+  };
+  static constexpr std::uint32_t kNoRound = 0xffffffffu;
+  static constexpr std::uint64_t kMaxArena = 0xffffffffu;
+  /// Tail span below which the arena never compacts (256 KB).
+  static constexpr std::uint64_t kMinSpan = 1u << 15;
 
-  Entry& entry(std::uint32_t idx) {
-    return pages_[idx >> kPageBits][idx & (kPageSize - 1)];
-  }
-
-  /// Adds one page and sizes the free-slot stack to every allocated slot:
-  /// the stack can never hold more, so release() never reallocates and
-  /// only rounds that add a page allocate. The stack is empty here (slots
-  /// are handed out fresh only once it is), so the reserve copies nothing.
-  void add_page() {
-    pages_.push_back(std::make_unique_for_overwrite<Entry[]>(kPageSize));
-    free_.reserve(pages_.size() * kPageSize);
-  }
-
-  /// Unlinks the entries of sender's chain that `keep` rejects, handing
-  /// each unlinked index to `unlink`; returns the oldest round kept (kNil
-  /// when the chain empties), the sender's new oldest-round bound.
-  template <class Keep, class Unlink>
-  std::uint32_t filter_chain(NodeId sender, Keep&& keep, Unlink&& unlink) {
-    std::uint32_t oldest = kNil;
-    for (std::uint32_t* link = &heads_[sender]; *link != kNil;) {
-      Entry& e = entry(*link);
-      if (keep(e)) {
-        oldest = std::min(oldest, e.round);
-        link = &e.next;
-      } else {
-        const std::uint32_t idx = *link;
-        *link = e.next;
-        unlink(idx);
-      }
+  void allocate() {
+    runs_.assign(senders_, Run{});
+    oldest_.resize(senders_);
+    pending_.assign(senders_, 0);
+    if (arena_size_ < arena_need_) {
+      arena_.reset();
+      arena_ = std::make_unique_for_overwrite<Entry[]>(arena_need_);
+      arena_size_ = arena_need_;
     }
-    return oldest;
   }
 
-  void release(std::uint32_t idx) {
-    free_.push_back(idx);
-    --size_;
+  /// Copies sender's run into a new block at the tail, ahead of room for
+  /// `add` new entries; returns where the first of those goes. The old
+  /// block becomes garbage for the next compaction.
+  std::uint32_t move_to_tail(NodeId sender, std::uint32_t add,
+                             std::uint32_t round) {
+    Run& run = runs_[sender];
+    const std::uint32_t size = run.len + add;
+    Entry* const block = arena_.get() + tail_;
+    block[0] = {sender, size};
+    std::copy_n(arena_.get() + (run.end - run.len), run.len, block + 1);
+    // New entries carry the current round: an empty run's bound is it.
+    if (run.len == 0) oldest_[sender] = round;
+    const auto first_new = static_cast<std::uint32_t>(tail_ + 1 + run.len);
+    tail_ += 1 + size;
+    run = {static_cast<std::uint32_t>(tail_), size};
+    return first_new;
   }
 
-  std::vector<std::unique_ptr<Entry[]>> pages_;  ///< kept across reset()
-  std::vector<std::uint32_t> free_;    ///< free-slot stack, top = back()
-  std::vector<std::uint32_t> heads_;   ///< per-sender chain head, kNil = empty
-  std::vector<std::uint32_t> oldest_;  ///< per-sender min round in the chain
+  /// Slides every live run down to the start of the arena in arena order,
+  /// each behind a header sized to it, and drops the garbage in between.
+  /// A sender's live block is its last one, so a header is live exactly
+  /// when its sender's run still ends where the block ends.
+  void compact() {
+    Entry* const arena = arena_.get();
+    std::uint32_t out = 0;
+    for (std::uint32_t p = 0; p < tail_;) {
+      const Entry header = arena[p];
+      const std::uint32_t end = p + 1 + header.aux;
+      Run& run = runs_[header.node];
+      if (run.len > 0 && run.end == end) {
+        arena[out] = {header.node, run.len};
+        std::memmove(arena + out + 1, arena + (end - run.len),
+                     run.len * sizeof(Entry));
+        run.end = out + 1 + run.len;
+        out = run.end;
+      }
+      p = end;
+    }
+    tail_ = out;
+    ++compactions_;
+    compact_at_ = std::min(soft_limit_, std::max(kMinSpan, 2 * tail_));
+  }
+
+  std::unique_ptr<Entry[]> arena_;  ///< kept across reset() when big enough
+  std::uint64_t arena_size_ = 0;    ///< entries allocated in arena_
+  std::uint64_t arena_need_ = 0;    ///< 2 · (B + H), see the class comment
+  std::uint64_t soft_limit_ = 0;    ///< B + H + B / 4
+  std::uint64_t compact_at_ = 0;    ///< tail mark that triggers compaction
+  std::uint64_t tail_ = 0;          ///< first arena entry past every block
+  std::vector<Run> runs_;           ///< per-sender live run
+  std::vector<std::uint32_t> oldest_;  ///< per-sender min round in the run
+  std::vector<std::uint32_t> pending_;  ///< append_round: per-sender count
+  std::vector<NodeId> touched_;         ///< append_round: senders touched
   NodeId senders_ = 0;
-  std::uint32_t used_ = 0;  ///< slots handed out fresh since reset()
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;
+  std::uint64_t compactions_ = 0;
 };
 
 }  // namespace detail
@@ -292,8 +364,10 @@ class ImplicitDynamicGnpTopology {
       // Beyond the horizon a pair survives un-resampled with probability
       // < 1e-12: its recorded state is numerically indistinguishable from
       // a fresh Bernoulli(p), so the entry can be recycled.
-      horizon_ = static_cast<std::uint64_t>(
-          std::ceil(std::log(1e-12) / log1m_churn_));
+      // Rounds are 32-bit, so no entry is ever older than 2^32 - 1: the
+      // clamp keeps the cast defined at any churn the spec accepts.
+      horizon_ = static_cast<std::uint64_t>(std::min(
+          std::ceil(std::log(1e-12) / log1m_churn_), 4294967295.0));
       sketch_.reset(spec.n, spec.sketch_capacity);
       // Start reclaiming stale entries once the pool is three-quarters
       // full (never at zero capacity).
@@ -311,6 +385,11 @@ class ImplicitDynamicGnpTopology {
 
   /// Number of live pair-state sketch entries (for tests / diagnostics).
   [[nodiscard]] std::size_t sketch_size() const { return sketch_.size(); }
+
+  /// Number of sketch arena compactions so far (for tests / diagnostics).
+  [[nodiscard]] std::uint64_t sketch_compactions() const {
+    return sketch_.compactions();
+  }
 
   /// Number of permanently failed nodes so far.
   [[nodiscard]] NodeId failed_count() const { return failed_count_; }
@@ -369,8 +448,13 @@ class ImplicitDynamicGnpTopology {
     if (tracking && sketch_.size() > 0)
       gather_pinned(tx, is_tx, half_duplex);
 
+    // The round's resolved pairs join the sketch in one batch at the end
+    // (nothing reads it in between); only the first room() can land, so
+    // the buffer keeps no more.
+    const std::size_t room = tracking ? sketch_.room() : 0;
     const auto record = [&](NodeId sender, NodeId listener) {
-      if (tracking) sketch_.insert(sender, listener, round_);
+      if (round_records_.size() < room)
+        round_records_.emplace_back(sender, listener);
     };
     const auto skip = [&](NodeId v) {
       return (tracking && marks_[v] != 0) ||
@@ -412,8 +496,11 @@ class ImplicitDynamicGnpTopology {
       for (const PinnedEvent& e : pinned_events_) emit(e, sink);
     }
 
-    if (tracking)
+    if (tracking) {
       for (const PinnedTouch& t : pinned_) marks_[t.listener] = 0;
+      sketch_.append_round(round_records_, round_);
+      round_records_.clear();
+    }
   }
 
  private:
@@ -445,7 +532,7 @@ class ImplicitDynamicGnpTopology {
   /// nothing — pinned by tests/sim/shard_scratch_test.cpp.
   struct SketchShard {
     std::vector<PinnedTouch> pinned;   ///< gather: touches in walk order
-    std::vector<std::uint32_t> freed;  ///< gather: deferred free-slot pushes
+    std::size_t dropped = 0;           ///< gather: entries the walk dropped
     std::vector<PinnedEvent> events;   ///< classify: events in group order
     std::vector<std::pair<NodeId, NodeId>> records;  ///< classify: (sender, listener)
     std::uint64_t nontx = 0;  ///< classify: non-transmitting pinned groups
@@ -506,9 +593,8 @@ class ImplicitDynamicGnpTopology {
   /// transmitting under half-duplex) are left untouched: their state is
   /// unobservable, so it just keeps ageing. Chunk c draws from
   /// churn_key.fork(round).fork(c); chunk walks touch disjoint sketch
-  /// chains, and the deferred frees commit serially in ascending chunk
-  /// order, so the sketch ends the phase in the exact state the serial
-  /// chunk walk leaves it in.
+  /// runs, and their drop counts are summed serially, so the sketch ends
+  /// the phase in the exact state the serial chunk walk leaves it in.
   void gather_pinned(std::span<const NodeId> tx,
                      const std::vector<char>& is_tx, bool half_duplex) {
     const std::uint64_t chunks =
@@ -518,11 +604,13 @@ class ImplicitDynamicGnpTopology {
     detail::run_chunked(pool_, chunks, [&](std::uint64_t c) {
       gather_chunk(c, tx, is_tx, half_duplex, key);
     });
+    std::size_t dropped = 0;
     for (std::uint64_t c = 0; c < chunks; ++c) {
       const SketchShard& shard = shards_[c];
       pinned_.insert(pinned_.end(), shard.pinned.begin(), shard.pinned.end());
-      sketch_.commit_deferred(shard.freed);
+      dropped += shard.dropped;
     }
+    sketch_.release(dropped);
     sort_pinned_by_listener();
     for (const PinnedTouch& t : pinned_) marks_[t.listener] = 1;
   }
@@ -553,22 +641,21 @@ class ImplicitDynamicGnpTopology {
     }
   }
 
-  /// One gather chunk: walks the sketch chains of senders
+  /// One gather chunk: walks the sketch runs of senders
   /// tx[c·chunk, (c+1)·chunk) with the stream key.fork(c), accumulating
-  /// pinned touches and freed entry indices in the chunk's private scratch.
+  /// pinned touches and the drop count in the chunk's private scratch.
   void gather_chunk(std::uint64_t c, std::span<const NodeId> tx,
                     const std::vector<char>& is_tx, bool half_duplex,
                     const StreamKey& key) {
     SketchShard& shard = shards_[c];
     shard.pinned.clear();
-    shard.freed.clear();
+    shard.dropped = 0;
     Rng rng = key.fork(c).make_rng();
     const auto [lo, hi] = detail::block_range(c, kSketchChunkSize, tx.size());
     for (std::uint64_t s = lo; s < hi; ++s) {
       const NodeId t = tx[s];
-      sketch_.visit_deferred(
-          t,
-          [&](NodeId w, std::uint32_t& entry_round) {
+      shard.dropped += sketch_.visit(
+          t, [&](NodeId w, std::uint32_t& entry_round) {
             const std::uint64_t age = round_ - entry_round;
             if (age > horizon_) return false;  // numerically fresh again
             if (failed_count_ > 0 && failed_[w] != 0) return true;
@@ -583,8 +670,7 @@ class ImplicitDynamicGnpTopology {
             if (present) entry_round = round_;
             shard.pinned.push_back({w, t, present});
             return present;
-          },
-          shard.freed);
+          });
     }
   }
 
@@ -755,6 +841,7 @@ class ImplicitDynamicGnpTopology {
   std::vector<PinnedTouch> pinned_;
   std::vector<PinnedEvent> pinned_events_;
   std::vector<SketchShard> shards_;       ///< per-chunk scratch, reused
+  std::vector<detail::PairRecord> round_records_;  ///< this round's inserts
   std::vector<std::uint32_t> radix_counts_;  ///< gather sort scratch
   std::vector<PinnedTouch> pinned_scratch_;  ///< gather sort scratch
   std::vector<std::size_t> group_starts_; ///< pinned group offsets + sentinel

@@ -71,9 +71,14 @@ class Rng {
   /// fixed p, and hoisting the log out of the draw is the dominant win of
   /// the sparse paths (see sim/topology.hpp and the bulk transmitter
   /// samplers). Requires inv_log1m_p = 1.0 / log1p(-p) for p in (0, 1).
+  /// Saturates at 2^62: every caller adds the gap to an index far below
+  /// that, so a saturated gap ends its loop exactly as the true one would,
+  /// and the cast stays defined for any p a spec accepts (a NaN from
+  /// 0 · inf at subnormal p saturates too).
   std::uint64_t geometric_inv(double inv_log1m_p) {
     const double u = 1.0 - next_double();  // (0, 1]
-    const double g = std::ceil(std::log(u) * inv_log1m_p);
+    double g = std::ceil(std::log(u) * inv_log1m_p);
+    g = g < 0x1p62 ? g : 0x1p62;
     return g < 1.0 ? 1u : static_cast<std::uint64_t>(g);
   }
 

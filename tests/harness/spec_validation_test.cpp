@@ -1,13 +1,18 @@
 // McSpec::validate — contradictory and out-of-range Monte-Carlo specs must
 // fail fast with std::invalid_argument (RADNET_REQUIRE) before any trial
 // runs, instead of silently resolving by backend precedence or crashing
-// mid-experiment inside a worker thread.
+// mid-experiment inside a worker thread. The SpecLineTest cases run spec
+// lines at the edges of what BatchSpec::validate accepts, where an
+// unclamped float-to-integer cast would leave its range (the sanitizer CI
+// job checks float-cast-overflow), and pin the one such line it rejects.
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "baselines/broadcast_baselines.hpp"
+#include "harness/batch.hpp"
 #include "harness/monte_carlo.hpp"
 
 namespace radnet::harness {
@@ -125,6 +130,57 @@ TEST(SpecValidationTest, RunMonteCarloCallsValidate) {
   spec.run_options.adversary.budget_mean = 1.0;
   spec.run_options.adversary.budget_spread = 2.0;  // spread must be in [0, 1]
   EXPECT_THROW((void)run_monte_carlo(spec), std::invalid_argument);
+}
+
+McResult run_line(const std::string& line) {
+  return run_monte_carlo(parse_batch_spec(line).to_mc_spec());
+}
+
+TEST(SpecLineTest, TinyChurnRunsWithTheSketchHorizonClamped) {
+  // churn = 1e-20 puts the sketch's stale horizon near 2.8e21 rounds, past
+  // the range of its cast; clamped to 2^32 - 1 it must run exactly as
+  // churn = 1e-17, whose horizon (2.8e18) fits the cast. At both churns
+  // every tracked pair survives every re-examination in double precision.
+  const std::string rest = " n=64 trials=2 max-rounds=5";
+  const McResult tiny =
+      run_line("protocol=alg2m family=idgnp churn=1e-20" + rest);
+  const McResult small =
+      run_line("protocol=alg2m family=idgnp churn=1e-17" + rest);
+  ASSERT_EQ(tiny.trials(), 2u);
+  ASSERT_EQ(small.trials(), 2u);
+  for (std::uint32_t t = 0; t < 2; ++t) {
+    const TrialOutcome& a = tiny.outcomes[t];
+    const TrialOutcome& b = small.outcomes[t];
+    EXPECT_EQ(a.rounds, b.rounds);
+    EXPECT_EQ(a.total_tx, b.total_tx);
+    EXPECT_EQ(a.deliveries, b.deliveries);
+    EXPECT_EQ(a.collisions, b.collisions);
+    EXPECT_GT(a.deliveries, 0u);
+  }
+}
+
+TEST(SpecLineTest, TinyLinkProbabilityRuns) {
+  // Skip-sampling gaps near 1e300 saturate instead of leaving the cast's
+  // range; the graph has no edge, so nothing is delivered.
+  const McResult r =
+      run_line("protocol=flooding family=csr p=1e-300 n=64 trials=2 max-rounds=5");
+  ASSERT_EQ(r.trials(), 2u);
+  EXPECT_EQ(r.outcomes[0].deliveries, 0u);
+  EXPECT_EQ(r.outcomes[1].deliveries, 0u);
+}
+
+TEST(SpecLineTest, RejectsARadiusTooSmallForAHopDiameter) {
+  // radius-mult = 1e-300 makes the radius ~1e-150, so the resolved hop
+  // diameter ceil(1.4143 / r) would not fit any integer.
+  try {
+    (void)parse_batch_spec("protocol=alg2m family=irgg radius-mult=1e-300 n=64");
+    FAIL() << "radius-mult=1e-300 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("radius-mult"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_NO_THROW(
+      (void)parse_batch_spec("protocol=alg2m family=irgg radius-mult=0.5 n=64"));
 }
 
 }  // namespace

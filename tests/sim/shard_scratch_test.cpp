@@ -217,10 +217,10 @@ TEST(ShardScratch, DynamicFullSketchSamplingRoundsAllocFree) {
   // Sampling rounds at churn 0.5 with the sketch at capacity, as in a long
   // gossip run: every round the gather drops about half of the entries
   // (their pairs re-sample absent), and the sweep's records, replayed
-  // through the pooled block merge (two listener blocks), refill the freed
-  // slots and overflow the rest. The pool spans 17 pages and ends off a
-  // page boundary; once it is full no round adds a page, so the free-slot
-  // stack never grows either.
+  // through the pooled block merge (two listener blocks) into the reused
+  // round buffer, refill the freed room and overflow the rest. Every
+  // sender transmits every round, so each round moves every run to the
+  // arena tail and the counted rounds compact the arena too.
   const graph::NodeId n = 2u << 16;
   const graph::NodeId k = 2048;  // 2 gather chunks at kSketchChunkSize=1024
   constexpr std::uint32_t kCapacity = 16 * 4096 + 1000;
@@ -253,6 +253,7 @@ TEST(ShardScratch, DynamicFullSketchSamplingRoundsAllocFree) {
   ASSERT_EQ(topo.sketch_size(), kCapacity) << "warm-up did not fill the sketch";
 
   const std::uint64_t deliveries_before = sink.deliveries;
+  const std::uint64_t compactions_before = topo.sketch_compactions();
   const std::uint64_t before = g_allocations.load();
   for (std::uint32_t round = 12; round < 20; ++round) {
     run_round(round);
@@ -262,8 +263,10 @@ TEST(ShardScratch, DynamicFullSketchSamplingRoundsAllocFree) {
 
   EXPECT_EQ(during, 0u)
       << "full-sketch sampling rounds allocated " << during
-      << " times; slot reuse or the record merge is allocating";
+      << " times; the round's inserts or the record merge are allocating";
   EXPECT_GT(sink.deliveries - deliveries_before, 8u * n / 4);
+  EXPECT_GT(topo.sketch_compactions(), compactions_before)
+      << "no counted round compacted the sketch arena";
 }
 
 TEST(ShardScratch, RggBucketingSteadyStateAllocFree) {

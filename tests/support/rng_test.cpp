@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -127,6 +128,32 @@ TEST(RngTest, GeometricMeanMatchesOneOverP) {
 TEST(RngTest, GeometricWithPOneIsAlwaysOne) {
   Rng rng(12);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.geometric(1.0), 1u);
+}
+
+TEST(RngTest, GeometricGapSaturatesAtTwoToThe62) {
+  // p = 1e-300 puts almost every gap near 1e300, and a subnormal p makes
+  // 1 / log1p(-p) infinite; both saturate instead of leaving the range of
+  // the cast.
+  Rng rng(14);
+  const double tiny = 1.0 / std::log1p(-1e-300);
+  const double subnormal = 1.0 / std::log1p(-1e-320);
+  ASSERT_TRUE(std::isinf(subnormal));
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(rng.geometric_inv(tiny), std::uint64_t{1} << 62);
+    EXPECT_EQ(rng.geometric_inv(subnormal), std::uint64_t{1} << 62);
+  }
+  // Below the cap nothing moves: p = 1e-18 gives gaps near 1e18 < 2^62.
+  const double large = 1.0 / std::log1p(-1e-18);
+  Rng a(15), b(15);
+  int below = 0;
+  for (int i = 0; i < 100; ++i) {
+    const double g = std::ceil(std::log(1.0 - b.next_double()) * large);
+    const std::uint64_t gap = a.geometric_inv(large);
+    if (g >= 0x1p62) continue;
+    ++below;
+    EXPECT_EQ(gap, static_cast<std::uint64_t>(std::max(g, 1.0)));
+  }
+  EXPECT_GT(below, 90);
 }
 
 TEST(RngTest, BinomialMoments) {
