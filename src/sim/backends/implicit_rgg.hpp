@@ -21,19 +21,21 @@
 // O(n·k) geometry cross-check of single rounds.
 //
 // Cell-grid delivery: positions bucket into a square grid of side >=
-// `radius` (cells_ per axis, capped so the grid never exceeds O(n)
-// cells). A listener's potential transmitters all lie in its own cell or
-// the 8 surrounding ones, so one round costs
+// `radius` (cells_ per axis, capped so the grid never exceeds 2n cells).
+// A listener's potential transmitters all lie in its own cell or the 8
+// surrounding ones. The transmitter CSR is laid out in cell order, so the
+// three cells of one row of that 3x3 neighbourhood are one contiguous
+// span, and a listener scans three spans. One round costs
 //   O(n)                 movement (2 uniforms per node)
-// + O(k + occupied·9)    bucket the k transmitters, stamp active cells
-//                        (sharded per transmitter chunk, serial merge
-//                        O(runs) — see bucket_transmitters)
-// + O(n + sum over listeners near transmitters of the <= 9 cells'
-//                        transmitter counts, early-exiting at the second
-//                        hit — a collision needs no exact count)
-// with zero graph memory: state is 16 B per node (positions) plus O(cells)
-// grid scratch. Listeners whose 3x3 neighbourhood holds no transmitter are
-// rejected with a single stamp load.
+// + O(k + cells)         bucket the k transmitters (sharded per transmitter
+//                        chunk, plus one serial exclusive scan over the
+//                        whole grid — see bucket_transmitters)
+// + O(n + sum over listeners of the 3 row spans' transmitter counts,
+//                        early-exiting at the second hit — a collision
+//                        needs no exact count)
+// with zero graph memory: state is 16 B per node (positions) plus one
+// 4 B CSR start per cell. A listener whose neighbourhood holds no
+// transmitter reads three empty spans.
 //
 // StreamKey keying scheme (support/rng.hpp): the backend's root key forks
 // one lane per round — round r's movement draws come from
@@ -49,14 +51,14 @@
 // event sequence a serial sweep would have produced (the block-merge
 // ordering invariant). The transmitter bucketing is sharded too, under
 // the per-chunk merge contract: each transmitter chunk counting-sorts
-// locally, a serial cell-ordered merge lays out the shared CSR, and the
-// chunks scatter into disjoint reserved slots — RNG-free, so the bucket
-// contents the sweep sees are byte-identical at any thread count *and*
-// any chunk granularity (the bucketing oracle test sweeps both).
+// locally, a serial scan over the grid lays out the shared cell-ordered
+// CSR, and the chunks scatter into disjoint reserved slots — RNG-free, so
+// the bucket contents the sweep sees are byte-identical at any thread
+// count *and* any chunk granularity (the bucketing oracle test sweeps
+// both).
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -100,8 +102,9 @@ class ImplicitRggTopology {
 
   /// Default transmitter-chunk width of the sharded bucketing phase. Not
   /// part of any randomness contract — bucketing draws no RNG and the
-  /// cell-ordered merge makes the bucket contents provably independent of
-  /// the decomposition — so it is free to change (and overridable below).
+  /// cell-ordered layout makes the bucket contents provably independent
+  /// of the decomposition — so it is free to change (and overridable
+  /// below).
   static constexpr NodeId kTxChunkSize = 4096;
 
   explicit ImplicitRggTopology(const ImplicitRgg& spec)
@@ -123,9 +126,7 @@ class ImplicitRggTopology {
         std::max<std::uint64_t>(1, std::min(from_radius, std::max<std::uint64_t>(1, cap))));
     cell_size_ = 1.0 / static_cast<double>(cells_);
     const std::size_t grid = static_cast<std::size_t>(cells_) * cells_;
-    cell_begin_.assign(grid + 1, 0);
-    cell_fill_.assign(grid, 0);
-    near_tx_stamp_.assign(grid, 0);
+    cell_start_.assign(grid + 1, 0);
     pts_.resize(n_);
     init_positions();
   }
@@ -147,34 +148,47 @@ class ImplicitRggTopology {
   /// (0 restores the default). A test/bench knob, never an observable
   /// one: the bucketing oracle in
   /// tests/sim/rgg_topology_equivalence_test.cpp sweeps granularities ×
-  /// schedules and asserts identical cell contents and stamps throughout.
+  /// schedules and asserts identical cell contents throughout.
   void set_bucket_chunk(NodeId width) {
     bucket_chunk_ = width == 0 ? kTxChunkSize : width;
   }
 
   // --- bucketing introspection (for the oracle test and diagnostics) ----
 
-  /// Runs just the bucketing phase for the current round's positions;
-  /// callers pair it with unbucket_for_test() to restore the grid.
+  /// Runs just the bucketing phase for the current round's positions.
+  /// Callers pair it with unbucket_for_test(), a no-op: every bucketing
+  /// rewrites the whole grid, so there is nothing to restore.
   void bucket_for_test(std::span<const NodeId> transmitters) {
     bucket_transmitters(transmitters);
   }
-  void unbucket_for_test() { unbucket_transmitters(); }
+  void unbucket_for_test() {}
   [[nodiscard]] std::uint32_t grid_cells() const { return cells_; }
   [[nodiscard]] std::uint32_t cell_of(NodeId v) const {
     return cell_index(pts_[v]);
   }
   /// Ids of the transmitters bucketed into `cell`, in segment order (the
-  /// order the sweep enumerates hits in); empty for unoccupied cells.
+  /// order the sweep enumerates hits in); empty for unoccupied cells. The
+  /// segments tile the id array in cell order: cell c + 1's starts where
+  /// cell c's ends.
   [[nodiscard]] std::span<const NodeId> cell_entries(
       std::uint32_t cell) const {
-    return {tx_id_.data() + cell_begin_[cell],
-            cell_fill_[cell] - cell_begin_[cell]};
+    return {tx_id_.data() + cell_start_[cell],
+            cell_start_[cell + 1] - cell_start_[cell]};
   }
-  /// Whether the sweep would consider `cell`'s listeners at all this
-  /// round (some transmitter occupies its 3x3 neighbourhood).
+  /// Whether some transmitter occupies `cell`'s 3x3 neighbourhood this
+  /// round, i.e. one of the three row spans its listeners scan is
+  /// non-empty.
   [[nodiscard]] bool cell_stamped(std::uint32_t cell) const {
-    return near_tx_stamp_[cell] == round_stamp_;
+    const std::uint32_t cx = cell % cells_;
+    const std::uint32_t cy = cell / cells_;
+    const std::uint32_t x0 = cx > 0 ? cx - 1 : 0;
+    const std::uint32_t x1 = std::min(cx + 1, cells_ - 1);
+    for (std::uint32_t y = cy > 0 ? cy - 1 : 0;
+         y <= std::min(cy + 1, cells_ - 1); ++y) {
+      const std::uint32_t row = y * cells_;
+      if (cell_start_[row + x1 + 1] != cell_start_[row + x0]) return true;
+    }
+    return false;
   }
 
   /// Advances the motion process to round `round` (non-decreasing, the
@@ -205,7 +219,6 @@ class ImplicitRggTopology {
                       detail::block_range(b, kShardBlockSize, n_);
                   sweep_block(lo, hi, is_tx, half_duplex, em);
                 });
-    unbucket_transmitters();
   }
 
  private:
@@ -257,21 +270,20 @@ class ImplicitRggTopology {
     });
   }
 
-  /// Counting-sorts the round's k transmitters into the cell grid
-  /// (cell_begin_/the tx SoA arrays form a CSR over occupied cells only)
-  /// and stamps every cell whose 3x3 neighbourhood holds a transmitter, so
-  /// the sweep rejects listeners in silent neighbourhoods with one load.
-  /// Sharded per transmitter chunk under the per-chunk merge contract of
-  /// sim/sharding.hpp: each chunk sorts its transmitters by cell locally
-  /// (stable, so chunk-local order = transmitter-list order), a serial
-  /// cell-ordered merge lays out the shared CSR in O(runs), and the chunks
-  /// scatter coordinates into their reserved, disjoint slots. Chunks are
-  /// merged in ascending order, so each cell's segment concatenates the
-  /// chunks' sub-segments in transmitter-list order — the sweep's hit
-  /// enumeration is byte-identical to a serial counting sort's, at any
-  /// thread count and any chunk granularity (the phase draws no RNG).
-  /// Cost O(k + occupied·9) work; the CSR counters are restored to zero in
-  /// O(occupied) by unbucket_transmitters.
+  /// Counting-sorts the round's k transmitters into the cell grid as a
+  /// cell-ordered CSR: cell c's transmitters occupy [cell_start_[c],
+  /// cell_start_[c + 1]) of the tx SoA arrays, so each grid row's cells
+  /// are contiguous and the sweep scans a 3x3 neighbourhood as three row
+  /// spans. Sharded per transmitter chunk under the per-chunk merge
+  /// contract of sim/sharding.hpp: each chunk sorts its transmitters by
+  /// cell locally (stable, so chunk-local order = transmitter-list order),
+  /// a serial pass over the runs and one scan over the grid lay out the
+  /// shared CSR, and the chunks scatter coordinates into their reserved,
+  /// disjoint slots. Each cell's segment concatenates the chunks'
+  /// sub-segments in ascending chunk order, i.e. in transmitter-list
+  /// order — the bucket contents are byte-identical to a serial counting
+  /// sort's, at any thread count and any chunk granularity (the phase
+  /// draws no RNG). Cost O(k + cells) work, O(runs + cells) of it serial.
   void bucket_transmitters(std::span<const NodeId> transmitters) {
     const std::uint64_t chunks =
         detail::block_count(transmitters.size(), bucket_chunk_);
@@ -282,57 +294,44 @@ class ImplicitRggTopology {
       bucket_sort_chunk(c, transmitters);
     });
 
-    // Phase 2 (serial cell-ordered merge, O(runs)): accumulate per-cell
-    // counts in chunk-scan order (occupied_ = first-touch order), lay the
-    // CSR out with an exclusive scan, then hand every run its scatter
-    // slot. After this loop cell_fill_[c] is the segment *end*, the same
-    // invariant the sweep reads.
-    occupied_.clear();
+    // Phase 2 (serial): per-cell counts, an inclusive scan over the whole
+    // grid (cell_start_[c] = end of cell c's segment), then every run
+    // claims its slot from the top of its cell's segment, chunks in
+    // descending order — which leaves cell_start_[c] at the segment's
+    // start and the chunks' sub-segments in ascending chunk order.
+    std::fill(cell_start_.begin(), cell_start_.end(), 0u);
     for (std::uint64_t c = 0; c < chunks; ++c) {
       const BucketChunk& bc = bucket_chunks_[c];
-      for (std::size_t r = 0; r < bc.run_cell.size(); ++r) {
-        const std::uint32_t cell = bc.run_cell[r];
-        if (cell_fill_[cell] == 0) occupied_.push_back(cell);
-        cell_fill_[cell] += bc.run_len[r];
-      }
+      for (std::size_t r = 0; r < bc.run_cell.size(); ++r)
+        cell_start_[bc.run_cell[r]] += bc.run_len[r];
     }
+    std::uint32_t offset = 0;
+    for (std::uint32_t& start : cell_start_) {
+      offset += start;
+      start = offset;
+    }
+    for (std::uint64_t c = chunks; c-- > 0;) {
+      BucketChunk& bc = bucket_chunks_[c];
+      bc.run_slot.resize(bc.run_cell.size());
+      for (std::size_t r = 0; r < bc.run_cell.size(); ++r)
+        bc.run_slot[r] = cell_start_[bc.run_cell[r]] -= bc.run_len[r];
+    }
+
     // Coordinates are inlined (structure-of-arrays, so the distance kernel
     // can load four x's or four y's as one vector) rather than
     // random-accessed from the n-sized positions array.
-    std::uint32_t offset = 0;
-    for (const std::uint32_t cell : occupied_) {
-      cell_begin_[cell] = offset;
-      offset += cell_fill_[cell];
-      cell_fill_[cell] = cell_begin_[cell];
-    }
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-      BucketChunk& bc = bucket_chunks_[c];
-      bc.run_slot.resize(bc.run_cell.size());
-      for (std::size_t r = 0; r < bc.run_cell.size(); ++r) {
-        bc.run_slot[r] = cell_fill_[bc.run_cell[r]];
-        cell_fill_[bc.run_cell[r]] += bc.run_len[r];
-      }
-    }
-
     const std::size_t k = transmitters.size();
     tx_x_.resize(k + simd::kRggPad);
     tx_y_.resize(k + simd::kRggPad);
     tx_id_.resize(k + simd::kRggPad);
-    // Version-stamp the active neighbourhoods; stamps self-invalidate next
-    // round, so nothing is ever cleared.
-    ++round_stamp_;
 
-    // Phase 3 (parallel): scatter into the reserved disjoint slots and
-    // stamp each run cell's 3x3 neighbourhood. A cell split across chunks
-    // is stamped more than once — every store writes the same
-    // round_stamp_ value through a relaxed atomic_ref, and the pool join
-    // orders all of them before the sweep's plain loads.
+    // Phase 3 (parallel): scatter into the reserved disjoint slots.
     detail::run_chunked(pool_, chunks, [&](std::uint64_t c) {
       bucket_scatter_chunk(c, transmitters);
     });
 
     // Far-away sentinels let the vector scan load full-width chunks that
-    // overhang the final segment without reading garbage distances.
+    // overhang the final span without reading garbage distances.
     for (std::size_t i = k; i < k + simd::kRggPad; ++i) {
       tx_x_[i] = 1e30;
       tx_y_[i] = 1e30;
@@ -374,8 +373,7 @@ class ImplicitRggTopology {
   }
 
   /// Phase 3 of bucket_transmitters for chunk `c`: scatter the chunk's
-  /// transmitters (in local sorted order) into the runs' reserved slots
-  /// and stamp each run cell's neighbourhood.
+  /// transmitters (in local sorted order) into the runs' reserved slots.
   void bucket_scatter_chunk(std::uint64_t c, std::span<const NodeId> tx) {
     BucketChunk& bc = bucket_chunks_[c];
     const std::uint64_t lo = c * static_cast<std::uint64_t>(bucket_chunk_);
@@ -390,51 +388,24 @@ class ImplicitRggTopology {
         tx_y_[slot] = pt.y;
         tx_id_[slot] = t;
       }
-      stamp_cell(bc.run_cell[r]);
-    }
-  }
-
-  /// Stamps `cell`'s 3x3 neighbourhood with the current round stamp.
-  /// Callable concurrently: all concurrent stores write the same value.
-  void stamp_cell(std::uint32_t cell) {
-    const std::uint32_t cx = cell % cells_;
-    const std::uint32_t cy = cell / cells_;
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx = -1; dx <= 1; ++dx) {
-        const std::int64_t nx = static_cast<std::int64_t>(cx) + dx;
-        const std::int64_t ny = static_cast<std::int64_t>(cy) + dy;
-        if (nx < 0 || ny < 0 || nx >= cells_ || ny >= cells_) continue;
-        std::atomic_ref<std::uint32_t>(
-            near_tx_stamp_[static_cast<std::uint32_t>(ny) * cells_ +
-                           static_cast<std::uint32_t>(nx)])
-            .store(round_stamp_, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  /// Restores the zero-count invariant so the next round's bucketing can
-  /// skip a full-grid clear.
-  void unbucket_transmitters() {
-    for (const std::uint32_t c : occupied_) {
-      cell_begin_[c] = 0;
-      cell_fill_[c] = 0;
     }
   }
 
   /// One listener block of the delivery sweep: for each listener able to
   /// hear, count transmitters within `radius` among the <= 9 neighbouring
-  /// cells, early-exiting at the second hit (a collision needs no exact
-  /// count). The per-cell distance checks run through the dispatched
-  /// simd::rgg_scan kernel — four squared distances per compare on AVX2,
-  /// in the exact double-precision form of the scalar scan, so every mode
-  /// emits the same events. Purely deterministic geometry — no RNG — so
-  /// block outputs are independent of schedule by construction.
+  /// cells (three row spans of the cell-ordered CSR), early-exiting at the
+  /// second hit (a collision needs no exact count). The distance checks
+  /// run through the dispatched simd::rgg_scan kernel — four squared
+  /// distances per compare on AVX2, in the exact double-precision form of
+  /// the scalar scan, so every mode emits the same events. Purely
+  /// deterministic geometry — no RNG — so block outputs are independent
+  /// of schedule by construction.
   template <class Emitter>
   void sweep_block(NodeId lo, NodeId hi, const std::vector<char>& is_tx,
                    bool half_duplex, Emitter& em) {
-    const simd::RggScanCtx ctx{tx_x_.data(),       tx_y_.data(),
-                               tx_id_.data(),      cell_begin_.data(),
-                               cell_fill_.data(),  cells_,
+    const simd::RggScanCtx ctx{tx_x_.data(),           tx_y_.data(),
+                               tx_id_.data(),          cell_start_.data(),
+                               cell_start_.data() + 1, cells_,
                                r2_};
     for (NodeId v = lo; v < hi; ++v) {
       if (half_duplex && is_tx[v]) continue;  // its own radio is busy
@@ -443,8 +414,6 @@ class ImplicitRggTopology {
       auto cy = static_cast<std::uint32_t>(pv.y / cell_size_);
       cx = std::min(cx, cells_ - 1);
       cy = std::min(cy, cells_ - 1);
-      if (near_tx_stamp_[cy * cells_ + cx] != round_stamp_)
-        continue;  // no transmitter within reach: silence
       NodeId sender = 0;
       const std::uint32_t hits = simd::rgg_scan(ctx, pv.x, pv.y, cx, cy, v,
                                                 &sender);
@@ -466,16 +435,14 @@ class ImplicitRggTopology {
   ThreadPool* pool_ = nullptr;
 
   std::vector<graph::Point> pts_;        ///< current positions, 16 B/node
-  std::vector<std::uint32_t> cell_begin_;  ///< tx CSR starts (occupied cells)
-  std::vector<std::uint32_t> cell_fill_;   ///< tx CSR ends / scatter cursors
-  /// Transmitters, cell-grouped, structure-of-arrays with kRggPad
+  /// Cell-ordered tx CSR: cell c's segment is [cell_start_[c],
+  /// cell_start_[c + 1]); cells² + 1 entries.
+  std::vector<std::uint32_t> cell_start_;
+  /// Transmitters in cell order, structure-of-arrays with kRggPad
   /// sentinels (see bucket_transmitters / simd::RggScanCtx).
   std::vector<double> tx_x_;
   std::vector<double> tx_y_;
   std::vector<NodeId> tx_id_;
-  std::vector<std::uint32_t> occupied_;    ///< cells holding >= 1 transmitter
-  std::vector<std::uint32_t> near_tx_stamp_;  ///< round_stamp_ if 3x3 has a tx
-  std::uint32_t round_stamp_ = 0;
 
   /// One transmitter chunk's private bucketing scratch, reused across
   /// rounds (resized, never shrunk) — pinned allocation-free in steady
@@ -483,7 +450,7 @@ class ImplicitRggTopology {
   struct BucketChunk {
     std::vector<std::uint32_t> cell;   ///< cell of chunk-local tx i
     std::vector<std::uint32_t> order;  ///< local indices, stably cell-sorted
-    std::vector<std::uint32_t> run_cell;  ///< distinct cells, sorted order
+    std::vector<std::uint32_t> run_cell;  ///< distinct cells, ascending
     std::vector<std::uint32_t> run_len;   ///< transmitters per run
     std::vector<std::uint32_t> run_slot;  ///< global scatter start per run
   };

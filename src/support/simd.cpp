@@ -116,19 +116,18 @@ std::uint32_t rgg_scan_scalar(const RggScanCtx& ctx, double px, double py,
   const std::uint32_t y0 = cy > 0 ? cy - 1 : 0;
   const std::uint32_t y1 = std::min(cy + 1, ctx.cells - 1);
   std::uint32_t hits = 0;
-  for (std::uint32_t y = y0; y <= y1 && hits < 2; ++y) {
-    for (std::uint32_t x = x0; x <= x1 && hits < 2; ++x) {
-      const std::uint32_t c = y * ctx.cells + x;
-      const std::uint32_t end = ctx.cell_end[c];
-      for (std::uint32_t i = ctx.cell_begin[c]; i < end; ++i) {
-        const std::uint32_t id = ctx.ids[i];
-        if (id == self) continue;
-        const double ddx = px - ctx.xs[i];
-        const double ddy = py - ctx.ys[i];
-        if (ddx * ddx + ddy * ddy > ctx.r2) continue;
-        *sender = id;
-        if (++hits >= 2) break;
-      }
+  for (std::uint32_t y = y0; y <= y1; ++y) {
+    // Cells x0..x1 of row y are one contiguous span (cell-ordered CSR).
+    const std::uint32_t row = y * ctx.cells;
+    const std::uint32_t end = ctx.cell_end[row + x1];
+    for (std::uint32_t i = ctx.cell_begin[row + x0]; i < end; ++i) {
+      const std::uint32_t id = ctx.ids[i];
+      if (id == self) continue;
+      const double ddx = px - ctx.xs[i];
+      const double ddy = py - ctx.ys[i];
+      if (ddx * ddx + ddy * ddy > ctx.r2) continue;
+      *sender = id;
+      if (++hits >= 2) return 2;
     }
   }
   return hits;

@@ -96,10 +96,15 @@ void classify_dense_avx2(LaneRng& lanes, const char* is_tx,
 /// One round's bucketed transmitters in SoA form (sim/backends/
 /// implicit_rgg.hpp). xs/ys/ids hold the coordinates and node ids of all
 /// transmitters, cell-segmented by the CSR arrays: cell c's entries are
-/// [cell_begin[c], cell_end[c]). The arrays carry >= kRggPad sentinel
-/// entries (coordinates far outside the unit square) past the last real
-/// transmitter so the vector path may load full 4-wide chunks that overhang
-/// a segment end.
+/// [cell_begin[c], cell_end[c]). The layout is *cell-ordered*: segments
+/// follow ascending cell index with no gaps, so cell_end[c] ==
+/// cell_begin[c + 1] for every c below cells² − 1 (the topology passes one
+/// start array as both, offset by one). The cells x0..x1 of one grid row
+/// therefore form the single span [cell_begin[row + x0], cell_end[row +
+/// x1]), and a scan walks a listener's 3x3 neighbourhood as three such row
+/// spans. The arrays carry >= kRggPad sentinel entries (coordinates far
+/// outside the unit square) past the last real transmitter so the vector
+/// path may load full 4-wide chunks that overhang a span end.
 struct RggScanCtx {
   const double* xs;
   const double* ys;
@@ -114,10 +119,11 @@ struct RggScanCtx {
 inline constexpr std::uint32_t kRggPad = 4;
 
 /// Counts transmitters within radius of listener (px, py) over the 3x3 cell
-/// neighbourhood of (cx, cy), skipping id == self, early-exiting once two
-/// are seen. Returns the hit count capped at 2; when it is exactly 1,
-/// *sender is the unique transmitter's id. Hits are visited in ascending
-/// bucket order in every mode, so the returned sender is mode-independent.
+/// neighbourhood of (cx, cy), clamped at the grid edges and scanned as (up
+/// to) three row spans, skipping id == self, early-exiting once two are
+/// seen. Returns the hit count capped at 2; when it is exactly 1, *sender
+/// is the unique transmitter's id. Both are functions of the set of
+/// transmitters in range alone, so every mode returns the same result.
 std::uint32_t rgg_scan(const RggScanCtx& ctx, double px, double py,
                        std::uint32_t cx, std::uint32_t cy, std::uint32_t self,
                        std::uint32_t* sender);

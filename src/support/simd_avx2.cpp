@@ -154,31 +154,30 @@ std::uint32_t rgg_scan_avx2(const RggScanCtx& ctx, double px, double py,
   const std::uint32_t y1 = std::min(cy + 1, ctx.cells - 1);
   std::uint32_t hits = 0;
   for (std::uint32_t y = y0; y <= y1; ++y) {
-    for (std::uint32_t x = x0; x <= x1; ++x) {
-      const std::uint32_t c = y * ctx.cells + x;
-      const std::uint32_t end = ctx.cell_end[c];
-      for (std::uint32_t i = ctx.cell_begin[c]; i < end; i += 4) {
-        // Full-width loads may overhang the segment (kRggPad sentinels make
-        // them safe); the tail mask discards the overhang, and hits are
-        // consumed in ascending index order — same order, same early exit,
-        // same sender as the scalar scan.
-        const __m256d xs = _mm256_loadu_pd(ctx.xs + i);
-        const __m256d ys = _mm256_loadu_pd(ctx.ys + i);
-        const __m256d dx = _mm256_sub_pd(pxv, xs);
-        const __m256d dy = _mm256_sub_pd(pyv, ys);
-        const __m256d d2 =
-            _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
-        int mask = _mm256_movemask_pd(_mm256_cmp_pd(d2, r2v, _CMP_LE_OQ));
-        const std::uint32_t rem = end - i;
-        if (rem < 4) mask &= (1 << rem) - 1;
-        while (mask) {
-          const int lane = __builtin_ctz(static_cast<unsigned>(mask));
-          mask &= mask - 1;
-          const std::uint32_t id = ctx.ids[i + static_cast<std::uint32_t>(lane)];
-          if (id == self) continue;
-          *sender = id;
-          if (++hits >= 2) return 2;
-        }
+    // Cells x0..x1 of row y are one contiguous span (cell-ordered CSR).
+    const std::uint32_t row = y * ctx.cells;
+    const std::uint32_t end = ctx.cell_end[row + x1];
+    for (std::uint32_t i = ctx.cell_begin[row + x0]; i < end; i += 4) {
+      // Full-width loads may overhang the span (kRggPad sentinels make them
+      // safe); the tail mask discards the overhang, and hits are consumed in
+      // ascending index order — same order, same early exit, same sender as
+      // the scalar scan.
+      const __m256d xs = _mm256_loadu_pd(ctx.xs + i);
+      const __m256d ys = _mm256_loadu_pd(ctx.ys + i);
+      const __m256d dx = _mm256_sub_pd(pxv, xs);
+      const __m256d dy = _mm256_sub_pd(pyv, ys);
+      const __m256d d2 =
+          _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
+      int mask = _mm256_movemask_pd(_mm256_cmp_pd(d2, r2v, _CMP_LE_OQ));
+      const std::uint32_t rem = end - i;
+      if (rem < 4) mask &= (1 << rem) - 1;
+      while (mask) {
+        const int lane = __builtin_ctz(static_cast<unsigned>(mask));
+        mask &= mask - 1;
+        const std::uint32_t id = ctx.ids[i + static_cast<std::uint32_t>(lane)];
+        if (id == self) continue;
+        *sender = id;
+        if (++hits >= 2) return 2;
       }
     }
   }

@@ -24,6 +24,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <utility>
@@ -150,29 +152,25 @@ CollectSink brute_force_round(const ImplicitRggTopology& topo, double radius,
   return expected;
 }
 
-TEST(ImplicitRggGeometry, CellGridSweepMatchesBruteForce) {
-  // Runs under every SIMD dispatch mode: the vectorised distance-mask scan
-  // keeps comparisons in the exact double-precision form of the scalar
-  // sweep, so both modes must match the brute-force oracle event-for-event.
+/// Runs `rounds` rounds of `spec` under every SIMD dispatch mode and both
+/// duplex settings, delivering round r's transmitter set `tx_of(r)`, and
+/// asserts each round's events equal the brute-force oracle's. The
+/// vectorised distance-mask scan keeps comparisons in the exact
+/// double-precision form of the scalar sweep, so both modes must match
+/// event-for-event.
+void expect_sweep_matches_brute_force(
+    const ImplicitRgg& spec, std::uint32_t rounds,
+    const std::function<std::vector<graph::NodeId>(std::uint32_t)>& tx_of) {
   const simd::Mode mode_before = simd::active_mode();
-  const graph::NodeId n = 700;
-  const double radius = graph::rgg_threshold_radius(n, 4.0);
-  const double step = radius / 6.0;
   for (const simd::Mode mode : {simd::Mode::kScalar, simd::Mode::kAvx2}) {
     if (mode == simd::Mode::kAvx2 && !simd::cpu_has_avx2()) continue;
     simd::set_mode(mode);
     for (const bool half_duplex : {true, false}) {
-      ImplicitRggTopology topo(ImplicitRgg{n, radius, step, Rng(0x9e0)});
-      std::vector<char> is_tx(n, 0);
-      for (std::uint32_t round = 0; round < 24; ++round) {
+      ImplicitRggTopology topo(spec);
+      std::vector<char> is_tx(spec.n, 0);
+      for (std::uint32_t round = 0; round < rounds; ++round) {
         topo.begin_round(round);
-        // A deterministic transmitter set that varies per round and
-        // includes clustered ids (adjacent ids are geometrically
-        // unrelated, but cell collisions among transmitters are what the
-        // early-exit must handle).
-        std::vector<graph::NodeId> tx;
-        for (graph::NodeId v = round % 5; v < n; v += 3 + (round % 11))
-          tx.push_back(v);
+        const std::vector<graph::NodeId> tx = tx_of(round);
         for (const graph::NodeId t : tx) is_tx[t] = 1;
 
         CollectSink got;
@@ -180,8 +178,8 @@ TEST(ImplicitRggGeometry, CellGridSweepMatchesBruteForce) {
                      DeliveryPath::kAuto, std::nullopt,
                      /*collisions_inert=*/false, got);
         const CollectSink expected =
-            brute_force_round(topo, radius, {tx.data(), tx.size()}, is_tx,
-                              half_duplex);
+            brute_force_round(topo, spec.radius, {tx.data(), tx.size()},
+                              is_tx, half_duplex);
         ASSERT_EQ(got.deliveries, expected.deliveries)
             << "round " << round << " half_duplex " << half_duplex
             << " mode " << simd::mode_name(mode);
@@ -196,6 +194,57 @@ TEST(ImplicitRggGeometry, CellGridSweepMatchesBruteForce) {
     }
   }
   simd::set_mode(mode_before);
+}
+
+TEST(ImplicitRggGeometry, CellGridSweepMatchesBruteForce) {
+  const graph::NodeId n = 700;
+  const double radius = graph::rgg_threshold_radius(n, 4.0);
+  // A deterministic transmitter set that varies per round and includes
+  // clustered ids (adjacent ids are geometrically unrelated, but cell
+  // collisions among transmitters are what the early-exit must handle).
+  expect_sweep_matches_brute_force(
+      ImplicitRgg{n, radius, radius / 6.0, Rng(0x9e0)}, 24,
+      [n](std::uint32_t round) {
+        std::vector<graph::NodeId> tx;
+        for (graph::NodeId v = round % 5; v < n; v += 3 + (round % 11))
+          tx.push_back(v);
+        return tx;
+      });
+}
+
+TEST(ImplicitRggGeometry, CellGridSweepMatchesBruteForceAtGridEdges) {
+  // Grids so small that the 3x3 neighbourhood clamps at both edges of an
+  // axis, so a row span covers one or two cells rather than three (sides
+  // 1, 2 and 3), and a grid held at the 2n-cell cap by a radius far below
+  // the connectivity threshold (cells wider than the radius). Transmitter
+  // sets run from a single sender to every node.
+  struct Case {
+    graph::NodeId n;
+    double radius;
+    std::uint32_t cells;
+  };
+  const Case cases[] = {
+      {90, 0.7, 1},
+      {90, 0.45, 2},
+      {120, 0.3, 3},
+      {400, 0.03, 29},  // 1 / 0.03 = 33 > ceil(sqrt(2 * 400)) = 29
+  };
+  for (const Case& c : cases) {
+    const ImplicitRgg spec{c.n, c.radius, c.radius / 4.0, Rng(0xED6E + c.n)};
+    ASSERT_EQ(ImplicitRggTopology(spec).grid_cells(), c.cells)
+        << "radius " << c.radius;
+    const graph::NodeId n = c.n;
+    const graph::NodeId strides[] = {n, n / 2, n / 3, 17, 5, 2, 1};
+    SCOPED_TRACE(::testing::Message() << "cells " << c.cells);
+    expect_sweep_matches_brute_force(
+        spec, static_cast<std::uint32_t>(std::size(strides)),
+        [n, &strides](std::uint32_t round) {
+          std::vector<graph::NodeId> tx;
+          for (graph::NodeId v = round % 3; v < n; v += strides[round])
+            tx.push_back(v);
+          return tx;
+        });
+  }
 }
 
 TEST(ImplicitRggGeometry, AttentiveHintFoldsExactly) {
@@ -287,8 +336,9 @@ TEST(ImplicitRggGeometry, ShardedBucketingMatchesSerialCountingSort) {
   // whose runs merge into the shared grid in cell order. The contract it
   // must keep for the sweep to stay byte-identical: every cell's entry
   // list equals the serial counting sort's — the transmitters of that
-  // cell *in global transmitter-list order* — and a cell is stamped iff
-  // some transmitter occupies its 3x3 neighbourhood. The phase draws no
+  // cell *in global transmitter-list order* — the segments follow cell
+  // order with no gaps (the sweep scans row spans), and a cell is stamped
+  // iff some transmitter occupies its 3x3 neighbourhood. The phase draws no
   // randomness, so the bucket layout must also be independent of the
   // chunk *granularity*, not just the schedule; this sweeps both, with
   // chunk widths straddling every boundary case (one chunk for all, many
@@ -332,9 +382,16 @@ TEST(ImplicitRggGeometry, ShardedBucketingMatchesSerialCountingSort) {
                                resolve_pool(0)}) {
         topo.set_parallelism(pool);
         topo.bucket_for_test({tx.data(), tx.size()});
+        const graph::NodeId* next = topo.cell_entries(0).data();
         for (std::size_t cell = 0; cell < grid; ++cell) {
           const std::span<const graph::NodeId> got =
               topo.cell_entries(static_cast<std::uint32_t>(cell));
+          // Cell-ordered layout: each segment starts where the previous
+          // cell's ends, so a grid row's cells form one contiguous span.
+          ASSERT_EQ(got.data(), next)
+              << "round " << round << " k " << k << " width " << width
+              << " pool " << (pool != nullptr) << " cell " << cell;
+          next = got.data() + got.size();
           ASSERT_TRUE(std::equal(got.begin(), got.end(),
                                  expected[cell].begin(),
                                  expected[cell].end()))

@@ -114,8 +114,12 @@ int main(int argc, char** argv) {
                    "MEAN[:SPREAD[:silent|listen]]]\n"
                    "  [--fault-schedule crash@R[:F],recover@R[:F],...]\n"
                    "run options: [--cluster-size K] [--quiescence]"
-                   " [--threads K] (1 serial, 0 every\n"
-                   "  core; results are identical at any thread count)\n";
+                   " [--threads K] (unset or 1: the\n"
+                   "  harness picks trial- or round-parallelism; 0: trials"
+                   " run on the shared pool,\n"
+                   "  a lone trial serially; K > 1: each trial's sweeps on"
+                   " K threads; results are\n"
+                   "  identical at any thread count)\n";
       return 0;
     }
 
