@@ -28,9 +28,7 @@ bool TdmaGossipProtocol::wants_transmit(NodeId /*v*/, sim::Round /*r*/) {
 
 void TdmaGossipProtocol::on_delivered(NodeId receiver, NodeId sender,
                                       sim::Round /*r*/) {
-  const std::size_t before = rumors_[receiver].count();
-  if (rumors_[receiver].unite(rumors_[sender]))
-    known_ += rumors_[receiver].count() - before;
+  known_ += rumors_[receiver].unite(rumors_[sender]);
 }
 
 bool TdmaGossipProtocol::is_complete() const {
@@ -59,9 +57,7 @@ bool DecayGossipProtocol::wants_transmit(NodeId /*v*/, sim::Round r) {
 
 void DecayGossipProtocol::on_delivered(NodeId receiver, NodeId sender,
                                        sim::Round /*r*/) {
-  const std::size_t before = rumors_[receiver].count();
-  if (rumors_[receiver].unite(rumors_[sender]))
-    known_ += rumors_[receiver].count() - before;
+  known_ += rumors_[receiver].unite(rumors_[sender]);
 }
 
 bool DecayGossipProtocol::is_complete() const {

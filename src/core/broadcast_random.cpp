@@ -81,27 +81,26 @@ bool BroadcastRandomProtocol::sample_transmitters(sim::Round r,
     prob = phase2_prob_;
   } else if (r >= round_budget()) {
     // Budget exhausted: everyone goes passive for good, nobody transmits.
-    for (const NodeId v : active) state_.deactivate(v);
+    state_.deactivate_all();
     return true;
   } else {
     prob = phase3_prob_;
   }
 
   if (prob >= 1.0) {
-    for (const NodeId v : active) {
-      if (deactivate_on_tx) state_.deactivate(v);
-      out.push_back(v);
-    }
+    if (deactivate_on_tx) state_.deactivate_all();
+    out.insert(out.end(), active.begin(), active.end());
     return true;
   }
   // Independent Bernoulli(prob) per active node == geometric skip-sampling
   // of the active list: O(transmitters) instead of O(active) coin flips.
+  // Picks come in ascending position order, so commit() drops them by
+  // position without testing every active entry.
   const double inv_log1m = 1.0 / std::log1p(-prob);
   for (std::uint64_t i = rng_.geometric_inv(inv_log1m) - 1; i < active.size();
        i += rng_.geometric_inv(inv_log1m)) {
-    const NodeId v = active[static_cast<std::size_t>(i)];
-    state_.deactivate(v);
-    out.push_back(v);
+    state_.deactivate_at(static_cast<NodeId>(i));
+    out.push_back(active[static_cast<std::size_t>(i)]);
   }
   return true;
 }

@@ -18,7 +18,9 @@ void BroadcastState::reset(NodeId n, NodeId source) {
     active_capacity_ = n;
   }
   active_count_ = 0;
+  drops_.clear();
   has_deactivations_ = false;
+  deactivate_all_ = false;
   excluded_count_ = 0;
   // The source holds the genuine content by definition.
   flags_[source] = kInformed | kValid;
@@ -62,16 +64,43 @@ void BroadcastState::deactivate(NodeId v) {
   has_deactivations_ = true;
 }
 
+void BroadcastState::deactivate_at(NodeId i) {
+  RADNET_REQUIRE(i < active_count_, "deactivate_at out of range");
+  RADNET_REQUIRE(drops_.empty() || drops_.back() < i,
+                 "deactivate_at positions must strictly ascend");
+  drops_.push_back(i);
+}
+
 void BroadcastState::commit() {
-  const std::uint8_t* flags = flags_.data();
+  std::uint8_t* flags = flags_.data();
   NodeId* active = active_.get();
-  if (has_deactivations_) {
+  if (deactivate_all_) {
+    active_count_ = 0;
+  } else if (has_deactivations_) {
+    // Per-node rounds hold ids, not positions: flag the positional drops
+    // too and filter the whole list.
+    for (const NodeId i : drops_) flags[active[i]] |= kDeactivated;
     active_count_ = static_cast<NodeId>(
         std::remove_if(active, active + active_count_,
                        [flags](NodeId v) { return flags[v] & kDeactivated; }) -
         active);
-    has_deactivations_ = false;
+  } else if (!drops_.empty()) {
+    // Slide each run between two consecutive drops (the last one ends at
+    // the list's end) down over the gaps; entries before the first drop
+    // stay put.
+    NodeId out = drops_[0];
+    const std::size_t k = drops_.size();
+    for (std::size_t j = 0; j < k; ++j) {
+      const NodeId lo = drops_[j] + 1;
+      const NodeId hi = j + 1 < k ? drops_[j + 1] : active_count_;
+      std::memmove(active + out, active + lo, (hi - lo) * sizeof(NodeId));
+      out += hi - lo;
+    }
+    active_count_ = out;
   }
+  drops_.clear();
+  has_deactivations_ = false;
+  deactivate_all_ = false;
   // One ascending pass: keep the still-uninformed in place, append the
   // round's activations, count the new valid copies. Only deliver() sets
   // kActivate and kValid on a listed node, and both imply kInformed.

@@ -6,8 +6,9 @@
 // candidate list handed to the engine, with *deferred* mutation so the
 // candidate span stays valid for the whole round:
 //   - activations requested during on_delivered take effect next round,
-//   - deactivations requested during wants_transmit take effect next round
-//     (the node still transmitted its current message this round).
+//   - deactivations requested during wants_transmit or sample_transmitters
+//     take effect next round (the node still transmitted its current
+//     message this round).
 // Call commit() from the protocol's end_round.
 //
 // Layout: one flags byte per node (informed, valid, excluded, deactivated,
@@ -15,13 +16,21 @@
 // flags byte and its informed_time_ slot, so deliveries to distinct
 // receivers may run concurrently (the engine's in-block delivery path,
 // Protocol::deliveries_receiver_local) and in any order. Everything that
-// aggregates over nodes settles at commit(): one compaction pass over the
-// ascending uninformed list drops the newly informed, bumps
-// informed_count() and valid_count(), and appends the round's activations
-// in ascending node order (runs of 16 entries that no delivery touched
-// are shifted whole; the others settle entry by entry without
-// data-dependent branches). Counts therefore read the state as of the last
-// commit(), never a half-applied round.
+// aggregates over nodes settles at commit(), in two passes:
+//   - The active list drops the round's deactivations, keeping its order.
+//     Drops made by position (deactivate_at, from a skip-sampler that
+//     already holds each pick's index) are slid out run by run: one
+//     memmove per run between consecutive drops, starting at the first
+//     drop, with no flag read. Rounds that also saw per-node deactivate(v)
+//     calls mark the positional drops' flags and filter the whole list by
+//     the kDeactivated flag instead. deactivate_all() empties the list.
+//   - One compaction pass over the ascending uninformed list drops the
+//     newly informed, bumps informed_count() and valid_count(), and
+//     appends the round's activations in ascending node order (runs of 16
+//     entries that no delivery touched are shifted whole; the others
+//     settle entry by entry without data-dependent branches).
+// Counts therefore read the state as of the last commit(), never a
+// half-applied round.
 //
 // Adversary support (sim/adversary.hpp): alongside the informed flag the
 // state keeps one per-copy *provenance* bit — valid iff the copy descends
@@ -134,9 +143,24 @@ class BroadcastState {
     return n_ - excluded_count_ - valid_count_;
   }
 
-  /// Schedules v's removal from the active set at end of round. Sticky: a
-  /// deactivated node never (re)activates, even when delivered this round.
+  /// Schedules v's removal from the active set at end of round. Sets v's
+  /// kDeactivated flag, which is sticky: a deactivated node never
+  /// (re)activates, even when delivered this round. commit() then filters
+  /// the whole active list by that flag. For per-node callers, which hold
+  /// node ids rather than positions (wants_transmit).
   void deactivate(NodeId v);
+
+  /// Schedules the removal of active()[i] at end of round. Positions must
+  /// strictly ascend within a round. Writes no flag byte: kDeactivated is
+  /// only read for uninformed-list nodes (the activation settle) and by
+  /// per-node rounds, and an active node is informed, so it is never on the
+  /// uninformed list and can never re-activate. For samplers that pick
+  /// transmitters by their index in active() (sample_transmitters).
+  void deactivate_at(NodeId i);
+
+  /// Schedules the removal of every active node at end of round (the
+  /// round's positional drops become moot).
+  void deactivate_all() noexcept { deactivate_all_ = true; }
 
   /// Applies the round's deliveries, activations and deactivations. Call
   /// from end_round.
@@ -163,7 +187,9 @@ class BroadcastState {
   NodeId active_capacity_ = 0;
   NodeId active_count_ = 0;
   std::vector<NodeId> uninformed_;  // ascending; compacted at commit()
-  bool has_deactivations_ = false;
+  std::vector<NodeId> drops_;  // this round's deactivate_at positions
+  bool has_deactivations_ = false;  // some deactivate(v) this round
+  bool deactivate_all_ = false;
 };
 
 }  // namespace radnet::core

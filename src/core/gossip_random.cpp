@@ -55,9 +55,7 @@ void GossipRandomProtocol::on_delivered(NodeId receiver, NodeId sender,
                                         sim::Round /*r*/) {
   // Half-duplex semantics (engine default) guarantee the sender received
   // nothing this round, so its current set equals the set it transmitted.
-  const std::size_t before = rumors_[receiver].count();
-  if (rumors_[receiver].unite(rumors_[sender]))
-    known_ += rumors_[receiver].count() - before;
+  known_ += rumors_[receiver].unite(rumors_[sender]);
 }
 
 bool GossipRandomProtocol::is_complete() const {

@@ -46,15 +46,15 @@ bool Bitset::none() const noexcept {
   return true;
 }
 
-bool Bitset::unite(const Bitset& other) {
+std::size_t Bitset::unite(const Bitset& other) {
   RADNET_REQUIRE(size_ == other.size_, "Bitset::unite size mismatch");
-  std::uint64_t changed = 0;
+  std::size_t added = 0;
   for (std::size_t i = 0; i < words_.size(); ++i) {
-    const std::uint64_t before = words_[i];
-    words_[i] |= other.words_[i];
-    changed |= words_[i] ^ before;
+    const std::uint64_t fresh = other.words_[i] & ~words_[i];
+    words_[i] |= fresh;
+    if (fresh != 0) added += static_cast<std::size_t>(std::popcount(fresh));
   }
-  return changed != 0;
+  return added;
 }
 
 void Bitset::intersect(const Bitset& other) {

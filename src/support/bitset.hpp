@@ -46,10 +46,10 @@ class Bitset {
   /// True iff no bit is set.
   [[nodiscard]] bool none() const noexcept;
 
-  /// this |= other. Requires identical sizes. Returns true iff this changed
-  /// (i.e. `other` contained at least one bit new to us) — the gossip
-  /// algorithms use the return value to detect rumor progress cheaply.
-  bool unite(const Bitset& other);
+  /// this |= other. Requires identical sizes. Returns the number of bits
+  /// new to us (0 iff this did not change) — the gossip algorithms add it
+  /// to their known-rumor totals without recounting either set.
+  std::size_t unite(const Bitset& other);
 
   /// this &= other. Requires identical sizes.
   void intersect(const Bitset& other);

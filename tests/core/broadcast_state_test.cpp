@@ -64,6 +64,24 @@ TEST(BroadcastStateTest, DeactivationRemovesAtCommit) {
   EXPECT_EQ(active_vec(s), (std::vector<NodeId>{1}));
 }
 
+TEST(BroadcastStateTest, DeactivateAtRemovesByPosition) {
+  BroadcastState s;
+  s.reset(6, 0);
+  for (NodeId v = 1; v < 6; ++v) s.deliver(v, 0);
+  s.commit();
+  ASSERT_EQ(active_vec(s), (std::vector<NodeId>{0, 1, 2, 3, 4, 5}));
+  s.deactivate_at(0);
+  s.deactivate_at(2);
+  s.deactivate_at(3);
+  s.deactivate_at(5);
+  EXPECT_EQ(s.active().size(), 6u);  // still visible this round
+  s.commit();
+  EXPECT_EQ(active_vec(s), (std::vector<NodeId>{1, 4}));
+  s.deactivate_all();
+  s.commit();
+  EXPECT_TRUE(s.active().empty());
+}
+
 TEST(BroadcastStateTest, DeliverAndDeactivateSameRound) {
   // A node delivered and deactivated in the same round never activates
   // (matters for protocols whose window is 0 rounds).
@@ -131,12 +149,15 @@ TEST(BroadcastStateTest, ResetClearsEverything) {
 }
 
 // Reference model: std::set for the uninformed set, a vector for the
-// active list, activations appended in ascending order at commit().
+// active list (positional drops erased by index, then flagged nodes),
+// activations appended in ascending order at commit().
 struct ModelState {
   std::set<NodeId> uninformed;
   std::vector<NodeId> active;
   std::vector<bool> informed, valid, excluded, deactivated, activate;
   std::vector<Round> time;
+  std::vector<NodeId> drops;  // this round's positions in `active`
+  bool drop_all = false;
   NodeId informed_count = 1, valid_count = 1, excluded_count = 0;
 
   ModelState(NodeId n, NodeId source)
@@ -157,6 +178,11 @@ struct ModelState {
     return true;
   }
   void commit() {
+    if (drop_all) active.clear();
+    for (auto it = drops.rbegin(); !drop_all && it != drops.rend(); ++it)
+      active.erase(active.begin() + *it);
+    drops.clear();
+    drop_all = false;
     std::erase_if(active, [&](NodeId v) { return deactivated[v]; });
     for (auto it = uninformed.begin(); it != uninformed.end();) {
       const NodeId v = *it;
@@ -171,6 +197,43 @@ struct ModelState {
     }
   }
 };
+
+// Ascending positions in [0, size) for one round's deactivate_at calls,
+// covering the edge shapes of commit()'s run-wise slide: none, the first
+// position, the last, one consecutive stretch, every position, and a
+// random subset.
+std::vector<NodeId> pick_positions(Rng& rng, NodeId size) {
+  std::vector<NodeId> out;
+  if (size == 0) return out;
+  switch (rng.uniform_below(6)) {
+    case 0:
+      break;
+    case 1:
+      out.push_back(0);
+      break;
+    case 2:
+      out.push_back(size - 1);
+      break;
+    case 3: {
+      const auto lo = static_cast<NodeId>(rng.uniform_below(size));
+      const auto len = 1 + static_cast<NodeId>(rng.uniform_below(size - lo));
+      const NodeId hi = lo + len;
+      for (NodeId i = lo; i < hi; ++i) out.push_back(i);
+      break;
+    }
+    case 4:
+      for (NodeId i = 0; i < size; ++i) out.push_back(i);
+      break;
+    default:
+      for (NodeId i = 0; i < size; ++i)
+        if (rng.bernoulli(0.3)) out.push_back(i);
+  }
+  return out;
+}
+
+// How a round's deactivations arrive: per node only (wants_transmit),
+// by position only (sample_transmitters), both, or all at once.
+enum class Drops { kPerNode, kPositional, kMixed, kAll };
 
 TEST(BroadcastStateTest, MatchesReferenceModelUnderRandomRounds) {
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
@@ -191,11 +254,24 @@ TEST(BroadcastStateTest, MatchesReferenceModelUnderRandomRounds) {
       if (m.valid[v]) --m.valid_count;
     }
     for (Round r = 0; r < 40 && !m.uninformed.empty(); ++r) {
-      // Deactivate some active nodes (as wants_transmit would).
-      for (const NodeId v : s.active()) {
-        if (rng.bernoulli(0.3)) {
-          s.deactivate(v);
-          m.deactivated[v] = true;
+      const auto mode = static_cast<Drops>(rng.uniform_below(4));
+      const bool per_node = mode == Drops::kPerNode || mode == Drops::kMixed;
+      if (mode == Drops::kPositional || mode == Drops::kMixed) {
+        // Drop by position (as sample_transmitters would).
+        m.drops = pick_positions(rng, s.active_count());
+        for (const NodeId i : m.drops) s.deactivate_at(i);
+      } else if (mode == Drops::kAll) {
+        s.deactivate_all();
+        m.drop_all = true;
+      }
+      if (per_node) {
+        // Deactivate some active nodes (as wants_transmit would), some of
+        // them also dropped by position in a mixed round.
+        for (const NodeId v : s.active()) {
+          if (rng.bernoulli(0.3)) {
+            s.deactivate(v);
+            m.deactivated[v] = true;
+          }
         }
       }
       // Deliver to random nodes, informed or not, repeats included.
@@ -208,7 +284,7 @@ TEST(BroadcastStateTest, MatchesReferenceModelUnderRandomRounds) {
                   m.deliver(v, r, act, copy_valid));
         // A node delivered and deactivated in the same round never
         // activates.
-        if (rng.bernoulli(0.05)) {
+        if (per_node && rng.bernoulli(0.05)) {
           s.deactivate(v);
           m.deactivated[v] = true;
         }
@@ -280,6 +356,15 @@ TEST(BroadcastStateTest, RejectsBadArguments) {
   s.reset(3, 0);
   EXPECT_THROW(s.deliver(9, 0), std::invalid_argument);
   EXPECT_THROW(s.deactivate(9), std::invalid_argument);
+  // Only one node is active.
+  EXPECT_THROW(s.deactivate_at(1), std::invalid_argument);
+  s.deliver(1, 0);
+  s.deliver(2, 0);
+  s.commit();
+  s.deactivate_at(1);
+  EXPECT_THROW(s.deactivate_at(1), std::invalid_argument);  // not ascending
+  EXPECT_THROW(s.deactivate_at(0), std::invalid_argument);
+  EXPECT_THROW(s.deactivate_at(3), std::invalid_argument);
 }
 
 }  // namespace

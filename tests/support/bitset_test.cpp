@@ -52,23 +52,27 @@ TEST(BitsetTest, ExactWordBoundarySizes) {
   }
 }
 
-TEST(BitsetTest, UniteReportsChange) {
+TEST(BitsetTest, UniteCountsAddedBits) {
   Bitset a(80), b(80);
   a.set(3);
   b.set(3);
-  EXPECT_FALSE(a.unite(b));  // nothing new
+  EXPECT_EQ(a.unite(b), 0u);  // nothing new
   b.set(70);
-  EXPECT_TRUE(a.unite(b));
+  b.set(64);
+  EXPECT_EQ(a.unite(b), 2u);
   EXPECT_TRUE(a.test(70));
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_FALSE(a.unite(b));  // now saturated w.r.t. b
+  EXPECT_EQ(a.count(), 3u);
+  EXPECT_EQ(a.unite(b), 0u);  // now saturated w.r.t. b
 }
 
 TEST(BitsetTest, UniteIsUnion) {
   Bitset a(200), b(200);
   for (std::size_t i = 0; i < 200; i += 3) a.set(i);
   for (std::size_t i = 0; i < 200; i += 5) b.set(i);
-  a.unite(b);
+  const std::size_t before = a.count();
+  const std::size_t added = a.unite(b);
+  EXPECT_EQ(before + added, a.count());
+  EXPECT_EQ(added, 40u - 14u);  // multiples of 5 that are not of 15
   for (std::size_t i = 0; i < 200; ++i)
     EXPECT_EQ(a.test(i), (i % 3 == 0) || (i % 5 == 0)) << i;
 }
